@@ -1,11 +1,13 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from exactfem import element, geometry, multiindex, verify
 from exactfem.errors import UnknownCheckError
 from exactfem.exact import mat_rank
-from exactfem.geometry import difference_matrix, is_affinely_independent
+from exactfem.geometry import difference_matrix, is_affinely_independent, reference_vertices
 from exactfem.verify import (
     catalog_ids,
     random_independent_family,
@@ -99,3 +101,49 @@ def test_table_rendering_mentions_totals():
     table = report.to_table()
     assert "1 checks, 1 passed, 0 failed" in table
     assert "binomial" in table
+
+
+def test_small_sweep_report_is_pinned():
+    # Case counts and counterexample text are part of the report; any change
+    # to what a check sweeps shows up here.
+    text = run_suite(d_max=2, k_max=2, samples=2, seed=0).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9db4027583a00a78257e48e201598d1fcee1e2066065b8b61fc785dafd7c5109"
+    )
+
+
+def _fault_binomial(real):
+    return lambda n, p: real(n, p) + (1 if (n, p) == (5, 2) else 0)
+
+
+@pytest.mark.parametrize(
+    "target, attr, fault, check_id, expected",
+    [
+        (
+            geometry, "face_hyperplane_contains", lambda real: lambda *a: True,
+            "1563", (False, 3, "opposite vertex accepted at (1, 0)"),
+        ),
+        (
+            multiindex, "binomial", _fault_binomial,
+            "1364", (False, 73, "symmetry fails at (5, 2)"),
+        ),
+        (
+            element, "build_element",
+            lambda real: lambda fam, k: real(reference_vertices(len(fam) - 1), k),
+            "1629", (False, 9, "degenerate family accepted at d = 1"),
+        ),
+        (
+            verify, "divide_by_last_variable",
+            lambda real: lambda p: None if p.dim == 2 and p.is_zero() else real(p),
+            "1531", (False, 7, "zero does not split to zeros"),
+        ),
+    ],
+)
+def test_failures_report_case_count_and_counterexample(
+    monkeypatch, target, attr, fault, check_id, expected
+):
+    monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
+    report = run_suite(d_max=2, k_max=3, samples=2, seed=5, only=[check_id])
+    (result,) = report.checks
+    assert (result.passed, result.cases, result.counterexample) == expected
+    assert not report.passed
