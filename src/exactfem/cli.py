@@ -232,7 +232,9 @@ def _cmd_orders(args, out) -> int:
     out.write(f"# order conditions at d={d} k={k}\n")
     out.write(f"{'order':<10} {'degree':<8} {'embedding':<16} {'vertices':<8}\n")
     for row in rows:
-        emb = "yes via " + row["embedding_route"] if row["dimension_embedding"] else "NO"
+        # At d = 1 the embedding condition holds vacuously and has no route.
+        route = row["embedding_route"]
+        emb = "NO" if not row["dimension_embedding"] else f"yes via {route}" if route else "yes"
         out.write(
             f"{row['order']:<10} "
             f"{'yes' if row['degree_monotone'] else 'NO':<8} "

@@ -180,6 +180,20 @@ def test_orders_json():
     assert by_order["grlex"]["vertex_numbering"] is False
 
 
+def test_orders_dimension_one():
+    code, out = run_cli("orders", "--dim", "1", "--degree", "2")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["grlex", "grcolex", "grsymlex", "grevlex"]
+    assert all(row[1:] == ["yes", "yes", "yes"] for row in rows)
+    code, out = run_cli("orders", "--dim", "1", "--degree", "2", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["orders"]:
+        assert row["dimension_embedding"] is True
+        assert row["embedding_route"] is None
+        assert row["embedding_witness"] is None
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli("indices", "--dim", "2")
     assert code == 2
