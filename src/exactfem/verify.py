@@ -6,6 +6,25 @@ equality; a check fails only with a concrete counterexample string (inputs,
 expected, got).  Reports are reproducible: each check draws from its own
 generator seeded by (seed, id), so filtering the catalog never changes what
 another check sees.
+
+The check protocol
+------------------
+
+A check is a function of one argument, registered with
+``@_check(id, title)``; ``run_suite`` calls it once with a fresh context:
+
+* ``ctx.cases`` counts the cases examined; the check adds to it
+  (``ctx.cases += 1``) before testing each case.
+* ``ctx.fail(*parts)`` stops the check; the parts, joined by spaces, become
+  its counterexample and ``ctx.cases`` at that moment its case count.  The
+  exception it raises is not a ``ValueError``, so a check's own ``except``
+  arms for the package's errors never catch it.
+* ``ctx.rng`` is the check's generator, seeded from the run seed and the
+  check id; ``ctx.families(d)`` draws its random vertex families from it.
+* ``ctx.dims(lo, hi)``, ``ctx.degrees(lo, hi)`` and ``ctx.samples`` bound
+  the sweep.
+
+A check that returns without calling ``ctx.fail`` passes.
 """
 
 from __future__ import annotations
@@ -63,6 +82,25 @@ def random_polynomial(d: int, k: int, rng: random.Random) -> Polynomial:
         if rng.random() < 0.6:
             terms[alpha] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
     return Polynomial(d, terms)
+
+
+def _random_affine_map(d: int, rng: random.Random) -> geo.AffineMap:
+    """Affine self-map of R^d with small rational entries, possibly singular."""
+    matrix = [[random_rational(rng) for _ in range(d)] for _ in range(d)]
+    return geo.AffineMap(matrix, random_point(d, rng))
+
+
+def _distinct_rationals(n: int, rng: random.Random) -> list[Fraction]:
+    out: list[Fraction] = []
+    while len(out) < n:
+        x = random_rational(rng)
+        if x not in out:
+            out.append(x)
+    return out
+
+
+def _sums_to_one(polys, d: int) -> bool:
+    return sum(polys, Polynomial.zero(d)) == Polynomial.constant(d, 1)
 
 
 @dataclass(frozen=True)
@@ -130,17 +168,22 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-class _Sweep:
-    """Per-run bounds plus deterministic per-check randomness."""
+class _CheckFailed(Exception):
+    """Raised by ``_Sweep.fail``; deliberately not a ValueError."""
 
-    def __init__(self, d_max: int, k_max: int, samples: int, seed: int):
+
+class _Sweep:
+    """One check's context: run bounds, its generator and its case count."""
+
+    def __init__(self, d_max: int, k_max: int, samples: int, seed: int, check_id: str):
         self.d_max = d_max
         self.k_max = k_max
         self.samples = samples
-        self.seed = seed
+        self.rng = random.Random(f"{seed}/{check_id}")
+        self.cases = 0
 
-    def rng(self, check_id: str) -> random.Random:
-        return random.Random(f"{self.seed}/{check_id}")
+    def fail(self, *parts) -> None:
+        raise _CheckFailed(" ".join(str(p) for p in parts))
 
     def dims(self, lo: int = 1, hi: int | None = None):
         return range(lo, min(self.d_max, hi if hi is not None else self.d_max) + 1)
@@ -148,9 +191,9 @@ class _Sweep:
     def degrees(self, lo: int = 0, hi: int | None = None):
         return range(lo, min(self.k_max, hi if hi is not None else self.k_max) + 1)
 
-    def families(self, d: int, rng: random.Random, include_reference: bool = True):
+    def families(self, d: int, include_reference: bool = True):
         fams = [geo.reference_vertices(d)] if include_reference else []
-        fams.extend(random_independent_family(d, rng) for _ in range(self.samples))
+        fams.extend(random_independent_family(d, self.rng) for _ in range(self.samples))
         return fams
 
 
@@ -169,90 +212,78 @@ def catalog_ids() -> list[str]:
     return [cid for cid, _, _ in _CATALOG]
 
 
-def _fmt(*parts) -> str:
-    return " ".join(str(p) for p in parts)
-
-
 # ---------------------------------------------------------------- arithmetic
 
 
 @_check("1364", "binomial identities")
 def _binomial_identities(ctx):
-    cases = 0
     for n in range(0, 13):
         if mi.binomial(n, 0) != 1 or mi.binomial(n, n) != 1:
-            return cases, _fmt("edge values wrong at n =", n)
+            ctx.fail("edge values wrong at n =", n)
         if n >= 1 and (mi.binomial(n, 1) != n or mi.binomial(n, n - 1) != n):
-            return cases, _fmt("count-one values wrong at n =", n)
+            ctx.fail("count-one values wrong at n =", n)
         for p in range(0, 14):
-            cases += 1
+            ctx.cases += 1
             if p <= n and mi.binomial(n, n - p) != mi.binomial(n, p):
-                return cases, _fmt("symmetry fails at", (n, p))
+                ctx.fail("symmetry fails at", (n, p))
             if p > n and mi.binomial(n, p) != 0:
-                return cases, _fmt("overflow value nonzero at", (n, p))
+                ctx.fail("overflow value nonzero at", (n, p))
             if p != 0 and (n != 0 or p != 1):
                 want = mi.binomial(n - 1, p - 1) + mi.binomial(n - 1, p) if n >= 1 else 0
                 if mi.binomial(n, p) != want:
-                    return cases, _fmt("recurrence fails at", (n, p))
+                    ctx.fail("recurrence fails at", (n, p))
     for p in range(1, 6):
         for n in range(0, 9):
-            cases += 1
+            ctx.cases += 1
             lhs = sum(mi.binomial(j + p - 1, p - 1) for j in range(n + 1))
             if lhs != mi.binomial(n + p, p):
-                return cases, _fmt("column-sum identity fails at", (n, p))
-    return cases, None
+                ctx.fail("column-sum identity fails at", (n, p))
 
 
 @_check("1366", "cyclic shift of [0..d]")
 def _cyclic(ctx):
-    cases = 0
     for d in range(0, 7):
         for i in range(d + 1):
             values = [mi.cyclic_index(d, i, j) for j in range(d + 1)]
-            cases += 1
+            ctx.cases += 1
             if sorted(values) != list(range(d + 1)):
-                return cases, _fmt("not a bijection for", (d, i), "->", values)
+                ctx.fail("not a bijection for", (d, i), "->", values)
             if values[d] != i:
-                return cases, _fmt("last value is", values[d], "not", i, "at", (d, i))
+                ctx.fail("last value is", values[d], "not", i, "at", (d, i))
         if mi.cyclic_tuple(d, d) != tuple(range(d + 1)):
-            return cases, _fmt("shift by d is not the identity at d =", d)
-    return cases, None
+            ctx.fail("shift by d is not the identity at d =", d)
 
 
 @_check("1367", "transposition of [0..d]")
 def _swap(ctx):
-    cases = 0
     for d in range(0, 7):
         for i in range(d + 1):
             values = mi.swap_tuple(d, i)
-            cases += 1
+            ctx.cases += 1
             if sorted(values) != list(range(d + 1)):
-                return cases, _fmt("not a bijection for", (d, i))
+                ctx.fail("not a bijection for", (d, i))
             if any(values[values[j]] != j for j in range(d + 1)):
-                return cases, _fmt("not involutive for", (d, i))
+                ctx.fail("not involutive for", (d, i))
             if values[i] != d:
-                return cases, _fmt("does not send", i, "to", d)
+                ctx.fail("does not send", i, "to", d)
         if mi.swap_tuple(d, d) != tuple(range(d + 1)):
-            return cases, _fmt("swap with d is not the identity at d =", d)
-    return cases, None
+            ctx.fail("swap with d is not the identity at d =", d)
 
 
 @_check("1368", "jump enumeration skipping one value")
 def _jump(ctx):
-    cases = 0
     for d in range(0, 7):
         for i in range(d + 2):
             values = [mi.jump_index(d, i, j) for j in range(d + 1)]
-            cases += 1
+            ctx.cases += 1
             if len(set(values)) != d + 1:
-                return cases, _fmt("not injective for", (d, i))
+                ctx.fail("not injective for", (d, i))
             if sorted(values) != [j for j in range(d + 2) if j != i]:
-                return cases, _fmt("image wrong for", (d, i), "->", values)
+                ctx.fail("image wrong for", (d, i), "->", values)
         if [mi.jump_index(d, 0, j) for j in range(d + 1)] != list(range(1, d + 2)):
-            return cases, _fmt("skip-0 form wrong at d =", d)
+            ctx.fail("skip-0 form wrong at d =", d)
         if mi.jump_tuple(d, d + 1) != tuple(range(d + 1)):
-            return cases, _fmt("skip-(d+1) is not the identity at d =", d)
-    return cases, None
+            ctx.fail("skip-(d+1) is not the identity at d =", d)
 
 
 # ---------------------------------------------------------------- index sets
@@ -264,103 +295,89 @@ def _box_members(d: int, k: int):
 
 @_check("1495", "count of indices with exact sum")
 def _card_exact(ctx):
-    cases = 0
     for d in ctx.dims(1, 4):
         for k in ctx.degrees(0, 6):
-            cases += 1
+            ctx.cases += 1
             got = mi.enumerate_indices(d, k, "C")
             brute = [a for a in _box_members(d, k) if sum(a) == k]
             if len(got) != mi.cardinal(d, k, "C") or sorted(got) != sorted(brute):
-                return cases, _fmt("exact-sum set wrong at", (d, k))
-    return cases, None
+                ctx.fail("exact-sum set wrong at", (d, k))
 
 
 @_check("1498", "count of indices with bounded sum")
 def _card_at_most(ctx):
-    cases = 0
     for d in ctx.dims(1, 4):
         for k in ctx.degrees(0, 6):
-            cases += 1
+            ctx.cases += 1
             got = mi.enumerate_indices(d, k, "A")
             brute = [a for a in _box_members(d, k) if sum(a) <= k]
             if len(got) != mi.cardinal(d, k, "A") or sorted(got) != sorted(brute):
-                return cases, _fmt("bounded-sum set wrong at", (d, k))
-    return cases, None
+                ctx.fail("bounded-sum set wrong at", (d, k))
 
 
 @_check("1496", "exact-sum sets layer the bounded-sum set")
 def _layers(ctx):
-    cases = 0
     for d in ctx.dims(1, 4):
         for k in ctx.degrees(0, 6):
-            cases += 1
+            ctx.cases += 1
             whole = mi.enumerate_indices(d, k, "A")
             layered = [a for l in range(k + 1) for a in mi.enumerate_indices(d, l, "C")]
             if whole != layered:
-                return cases, _fmt("layer concatenation differs at", (d, k))
-    return cases, None
+                ctx.fail("layer concatenation differs at", (d, k))
 
 
 @_check("1493", "slices partition the exact-sum set")
 def _slices(ctx):
-    cases = 0
     for d in ctx.dims(2, 4):
         for k in ctx.degrees(0, 5):
-            cases += 1
+            ctx.cases += 1
             full = set(mi.enumerate_indices(d, k, "C"))
             vert = [a for i in range(k + 1) for a in mi.slice_vertical(d, k, i)]
             horiz = [a for i in range(k + 1) for a in mi.slice_horizontal(d, k, i)]
             if len(vert) != len(set(vert)) or set(vert) != full:
-                return cases, _fmt("vertical slices fail at", (d, k))
+                ctx.fail("vertical slices fail at", (d, k))
             if len(horiz) != len(set(horiz)) or set(horiz) != full:
-                return cases, _fmt("horizontal slices fail at", (d, k))
-    return cases, None
+                ctx.fail("horizontal slices fail at", (d, k))
 
 
 @_check("1500", "front/back completion maps are bijections")
 def _complete_bijections(ctx):
-    cases = 0
     for d in ctx.dims(2, 4):
         for k in ctx.degrees(0, 5):
-            cases += 1
+            ctx.cases += 1
             source = mi.enumerate_indices(d - 1, k, "A")
             target = set(mi.enumerate_indices(d, k, "C"))
             front = [mi.extend_front(k, a) for a in source]
             back = [mi.extend_back(k, a) for a in source]
             if len(set(front)) != len(front) or set(front) != target:
-                return cases, _fmt("front completion not bijective at", (d, k))
+                ctx.fail("front completion not bijective at", (d, k))
             if len(set(back)) != len(back) or set(back) != target:
-                return cases, _fmt("back completion not bijective at", (d, k))
+                ctx.fail("back completion not bijective at", (d, k))
             if any(sum(a) != k for a in front + back):
-                return cases, _fmt("completion missed the target sum at", (d, k))
-    return cases, None
+                ctx.fail("completion missed the target sum at", (d, k))
 
 
 @_check("1501", "zero insertion is a sum-preserving bijection")
 def _insert_bijection(ctx):
-    cases = 0
     for d in ctx.dims(2, 4):
         for k in ctx.degrees(0, 5):
             source = mi.enumerate_indices(d - 1, k, "A")
             for i in range(1, d + 1):
-                cases += 1
+                ctx.cases += 1
                 image = [mi.insert_zero(i, a) for a in source]
                 target = set(mi.enumerate_indices(d, k, "Azero", zero_index=i))
                 if len(set(image)) != len(image) or set(image) != target:
-                    return cases, _fmt("insertion not bijective at", (d, k, i))
+                    ctx.fail("insertion not bijective at", (d, k, i))
                 if any(sum(b) != sum(a) for a, b in zip(source, image)):
-                    return cases, _fmt("insertion changed a sum at", (d, k, i))
-    return cases, None
+                    ctx.fail("insertion changed a sum at", (d, k, i))
 
 
 @_check("1487", "dimension-1 index set is an integer range")
 def _dim1_range(ctx):
-    cases = 0
     for k in ctx.degrees(0, 6):
-        cases += 1
+        ctx.cases += 1
         if mi.enumerate_indices(1, k, "A") != [(i,) for i in range(k + 1)]:
-            return cases, _fmt("range form fails at k =", k)
-    return cases, None
+            ctx.fail("range form fails at k =", k)
 
 
 # ---------------------------------------------------------------- orders
@@ -368,16 +385,15 @@ def _dim1_range(ctx):
 
 @_check("3.3.2", "order axioms for all eight orders")
 def _order_axioms(ctx):
-    cases = 0
     pool = mi.enumerate_indices(3, 3, "A")
     zero = (0, 0, 0)
     for order in mi.ORDERS:
         for a in pool:
             for b in pool:
-                cases += 1
+                ctx.cases += 1
                 c1, c2 = mi.compare(order, a, b), mi.compare(order, b, a)
                 if (a == b) != (c1 == 0) or c1 != -c2:
-                    return cases, _fmt(order, "totality fails at", (a, b))
+                    ctx.fail(order, "totality fails at", (a, b))
         # additivity: a < b implies a+g < b+g
         small = mi.enumerate_indices(3, 2, "A")
         for a in small:
@@ -385,62 +401,56 @@ def _order_axioms(ctx):
                 if mi.compare(order, a, b) >= 0:
                     continue
                 for g in small:
-                    cases += 1
+                    ctx.cases += 1
                     sa = tuple(x + y for x, y in zip(a, g))
                     sb = tuple(x + y for x, y in zip(b, g))
                     if mi.compare(order, sa, sb) >= 0:
-                        return cases, _fmt(order, "translation fails at", (a, b, g))
+                        ctx.fail(order, "translation fails at", (a, b, g))
         if order in mi.GRADED_ORDERS:
             for a in pool:
                 if a == zero:
                     continue
-                cases += 1
+                ctx.cases += 1
                 if mi.compare(order, zero, a) >= 0:
-                    return cases, _fmt(order, "zero is not minimal against", a)
-    return cases, None
+                    ctx.fail(order, "zero is not minimal against", a)
 
 
 @_check("3.3.3", "mirror identities between the base orders")
 def _order_mirrors(ctx):
-    cases = 0
     pool = mi.enumerate_indices(3, 3, "A")
     for a in pool:
         for b in pool:
-            cases += 1
+            ctx.cases += 1
             if mi.compare("symlex", a, b) != mi.compare("lex", b, a):
-                return cases, _fmt("symlex mirror fails at", (a, b))
+                ctx.fail("symlex mirror fails at", (a, b))
             if mi.compare("revlex", a, b) != mi.compare("colex", b, a):
-                return cases, _fmt("revlex mirror fails at", (a, b))
-    return cases, None
+                ctx.fail("revlex mirror fails at", (a, b))
 
 
 @_check("3.3.8i", "graded orders respect increasing sum")
 def _condition_degree(ctx):
-    cases = 0
     for order in mi.GRADED_ORDERS:
         for d in (1, 2, 3):
-            cases += 1
+            ctx.cases += 1
             w = mi.condition_degree_monotone(order, d, 3)
             if w is not None:
-                return cases, _fmt(order, "violates degree monotonicity at", w)
+                ctx.fail(order, "violates degree monotonicity at", w)
     # the four ungraded orders all fail it in dimension 2
     for order in ("lex", "colex", "symlex", "revlex"):
-        cases += 1
+        ctx.cases += 1
         if mi.condition_degree_monotone(order, 2, 3) is None:
-            return cases, _fmt(order, "unexpectedly degree-monotone")
-    return cases, None
+            ctx.fail(order, "unexpectedly degree-monotone")
 
 
 @_check("3.3.8ii", "dimension-embedding condition per graded order")
 def _condition_embedding(ctx):
-    cases = 0
     results = {o: mi.condition_dimension_embedding(o, 3, 3) for o in mi.GRADED_ORDERS}
     expected_routes = {"grsymlex": "front", "grevlex": "back", "grlex": None, "grcolex": None}
     for order, want in expected_routes.items():
-        cases += 1
+        ctx.cases += 1
         got = results[order]
         if got["satisfied"] != (want is not None) or got["route"] != want:
-            return cases, _fmt(order, "embedding verdict", got["route"], "expected", want)
+            ctx.fail(order, "embedding verdict", got["route"], "expected", want)
     # documented violating instances
     instances = [
         ("grlex", (1, 0), (0, 2), mi.extend_front),
@@ -449,27 +459,24 @@ def _condition_embedding(ctx):
         ("grcolex", (0, 1), (2, 0), mi.extend_back),
     ]
     for order, a, b, f in instances:
-        cases += 1
+        ctx.cases += 1
         if not (mi.compare(order, a, b) < 0 and mi.compare(order, f(3, b), f(3, a)) < 0):
-            return cases, _fmt(order, "documented violation missing for", (a, b))
-    return cases, None
+            ctx.fail(order, "documented violation missing for", (a, b))
 
 
 @_check("3.3.8iii", "vertex-numbering condition per graded order")
 def _condition_vertices(ctx):
-    cases = 0
     expected = {"grsymlex": True, "grcolex": True, "grlex": False, "grevlex": False}
     for d, k in ((2, 3), (3, 3)):
         for order, want in expected.items():
-            cases += 1
+            ctx.cases += 1
             w = mi.condition_vertex_numbering(order, d, k)
             if (w is None) != want:
-                return cases, _fmt(order, "vertex numbering at", (d, k), "witness", w)
+                ctx.fail(order, "vertex numbering at", (d, k), "witness", w)
     for order in ("grlex", "grevlex"):
-        cases += 1
+        ctx.cases += 1
         if not mi.compare(order, (0, 3), (3, 0)) < 0:
-            return cases, _fmt(order, "documented numbering violation missing")
-    return cases, None
+            ctx.fail(order, "documented numbering violation missing")
 
 
 # ---------------------------------------------------------------- 1-D basis
@@ -477,50 +484,33 @@ def _condition_vertices(ctx):
 
 @_check("1449", "one-variable nodal basis properties")
 def _basis_1d(ctx):
-    rng = ctx.rng("1449")
-    cases = 0
     for k in ctx.degrees(0, 5):
-        nodes = []
-        while len(nodes) < k + 1:
-            x = random_rational(rng)
-            if x not in nodes:
-                nodes.append(x)
+        nodes = _distinct_rationals(k + 1, ctx.rng)
         basis = [lagrange_basis_1d(nodes, i) for i in range(k + 1)]
         for i, Li in enumerate(basis):
-            cases += 1
+            ctx.cases += 1
             if k >= 1 and Li.degree() != k:
-                return cases, _fmt("degree wrong at", (k, i))
+                ctx.fail("degree wrong at", (k, i))
             for j, a in enumerate(nodes):
                 if Li.eval((a,)) != (1 if i == j else 0):
-                    return cases, _fmt("nodal values wrong at", (k, i, j))
-        total = Polynomial.zero(1)
-        for Li in basis:
-            total = total + Li
-        cases += 1
-        if total != Polynomial.constant(1, 1):
-            return cases, _fmt("partition of unity fails at k =", k)
-    return cases, None
+                    ctx.fail("nodal values wrong at", (k, i, j))
+        ctx.cases += 1
+        if not _sums_to_one(basis, 1):
+            ctx.fail("partition of unity fails at k =", k)
 
 
 @_check("1450", "one-variable nodal decomposition")
 def _decomp_1d(ctx):
-    rng = ctx.rng("1450")
-    cases = 0
     for k in ctx.degrees(0, 5):
-        nodes = []
-        while len(nodes) < k + 1:
-            x = random_rational(rng)
-            if x not in nodes:
-                nodes.append(x)
+        nodes = _distinct_rationals(k + 1, ctx.rng)
         for _ in range(ctx.samples):
-            cases += 1
-            p = random_polynomial(1, k, rng)
+            ctx.cases += 1
+            p = random_polynomial(1, k, ctx.rng)
             rebuilt = Polynomial.zero(1)
             for i, a in enumerate(nodes):
                 rebuilt = rebuilt + lagrange_basis_1d(nodes, i).scale(p.eval((a,)))
             if rebuilt != p:
-                return cases, _fmt("decomposition fails at k =", k)
-    return cases, None
+                ctx.fail("decomposition fails at k =", k)
 
 
 # ---------------------------------------------------------------- polynomials
@@ -528,164 +518,140 @@ def _decomp_1d(ctx):
 
 @_check("1504", "one-variable monomials agree with powers")
 def _monomial_1d(ctx):
-    rng = ctx.rng("1504")
-    cases = 0
     for k in ctx.degrees(0, 6):
         for _ in range(ctx.samples):
-            cases += 1
-            x = random_rational(rng)
+            ctx.cases += 1
+            x = random_rational(ctx.rng)
             if Polynomial.monomial((k,)).eval((x,)) != x**k:
-                return cases, _fmt("power mismatch at", (k, x))
-    return cases, None
+                ctx.fail("power mismatch at", (k, x))
 
 
 @_check("1506", "one-variable polynomials evaluate coefficientwise")
 def _poly_1d(ctx):
-    rng = ctx.rng("1506")
-    cases = 0
     for k in ctx.degrees(0, 5):
         for _ in range(ctx.samples):
-            cases += 1
-            p = random_polynomial(1, k, rng)
-            x = random_rational(rng)
+            ctx.cases += 1
+            p = random_polynomial(1, k, ctx.rng)
+            x = random_rational(ctx.rng)
             direct = sum(
                 (c * x ** e[0] for e, c in p.terms.items()), Fraction(0)
             )
             if p.eval((x,)) != direct:
-                return cases, _fmt("evaluation mismatch at k =", k)
-    return cases, None
+                ctx.fail("evaluation mismatch at k =", k)
 
 
 @_check("1514", "monomials multiply by adding exponents")
 def _monomial_product(ctx):
-    cases = 0
     pool = mi.enumerate_indices(3, 3, "A")
     for a in pool:
         for b in pool:
-            cases += 1
+            ctx.cases += 1
             got = Polynomial.monomial(a) * Polynomial.monomial(b)
             want = Polynomial.monomial(tuple(x + y for x, y in zip(a, b)))
             if got != want:
-                return cases, _fmt("product off at", (a, b))
-    return cases, None
+                ctx.fail("product off at", (a, b))
 
 
 @_check("1516", "product degree is bounded by the sum of degrees")
 def _product_degree(ctx):
-    rng = ctx.rng("1516")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(0, 3):
             for l in ctx.degrees(0, 3):
                 for _ in range(ctx.samples):
-                    cases += 1
-                    p = random_polynomial(d, k, rng)
-                    q = random_polynomial(d, l, rng)
+                    ctx.cases += 1
+                    p = random_polynomial(d, k, ctx.rng)
+                    q = random_polynomial(d, l, ctx.rng)
                     pq = p * q
                     if pq.degree() > k + l:
-                        return cases, _fmt("degree bound broken at", (d, k, l))
-                    x = random_point(d, rng)
+                        ctx.fail("degree bound broken at", (d, k, l))
+                    x = random_point(d, ctx.rng)
                     if pq.eval(x) != p.eval(x) * q.eval(x):
-                        return cases, _fmt("pointwise product off at", (d, k, l))
+                        ctx.fail("pointwise product off at", (d, k, l))
     # one variable: nonzero leading coefficients multiply, so degrees add
     for _ in range(5 * ctx.samples):
-        cases += 1
-        p = random_polynomial(1, 3, rng)
-        q = random_polynomial(1, 3, rng)
+        ctx.cases += 1
+        p = random_polynomial(1, 3, ctx.rng)
+        q = random_polynomial(1, 3, ctx.rng)
         if p.is_zero() or q.is_zero():
             continue
         if (p * q).degree() != p.degree() + q.degree():
-            return cases, _fmt("one-variable degree addition fails")
-    return cases, None
+            ctx.fail("one-variable degree addition fails")
 
 
 @_check("1522", "derivative of a monomial at the origin")
 def _derivative_at_zero(ctx):
-    cases = 0
     pool = mi.enumerate_indices(3, 3, "A")
     origin = (Fraction(0),) * 3
     for a in pool:
         for b in pool:
-            cases += 1
+            ctx.cases += 1
             got = partial_derivative(Polynomial.monomial(a), b).eval(origin)
             want = mi.factorial(a) * mi.kronecker(a, b)
             if got != want:
-                return cases, _fmt("derivative at origin off at", (a, b))
-    return cases, None
+                ctx.fail("derivative at origin off at", (a, b))
 
 
 @_check("1523", "coefficients are recovered by derivatives at the origin")
 def _freeness(ctx):
-    rng = ctx.rng("1523")
-    cases = 0
     origin = (Fraction(0),) * 3
     for _ in range(ctx.samples * 2):
-        p = random_polynomial(3, 3, rng)
+        p = random_polynomial(3, 3, ctx.rng)
         if p.is_zero():
             continue
         for beta in mi.enumerate_indices(3, 3, "A"):
-            cases += 1
+            ctx.cases += 1
             got = partial_derivative(p, beta).eval(origin)
             if got != mi.factorial(beta) * p.coefficient(beta):
-                return cases, _fmt("coefficient recovery fails at", beta)
-    return cases, None
+                ctx.fail("coefficient recovery fails at", beta)
 
 
 @_check("1529", "split on the last variable is exact and unique")
 def _split_last(ctx):
-    rng = ctx.rng("1529")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1, 4):
             for _ in range(ctx.samples):
-                cases += 1
-                p = random_polynomial(d, k, rng)
+                ctx.cases += 1
+                p = random_polynomial(d, k, ctx.rng)
                 head, quot = divide_by_last_variable(p)
                 if recombine_last_variable(head, quot) != p:
-                    return cases, _fmt("recombination fails at", (d, k))
+                    ctx.fail("recombination fails at", (d, k))
                 if head.degree() > max(p.degree(), 0):
-                    return cases, _fmt("head degree too big at", (d, k))
+                    ctx.fail("head degree too big at", (d, k))
                 if quot.degree() != NEG_INF and quot.degree() > k - 1:
-                    return cases, _fmt("quotient degree too big at", (d, k))
+                    ctx.fail("quotient degree too big at", (d, k))
                 # uniqueness: splitting the recombination of any pair returns it
-                h2 = random_polynomial(d - 1, k, rng)
-                q2 = random_polynomial(d, k - 1, rng)
+                h2 = random_polynomial(d - 1, k, ctx.rng)
+                q2 = random_polynomial(d, k - 1, ctx.rng)
                 if divide_by_last_variable(recombine_last_variable(h2, q2)) != (h2, q2):
-                    return cases, _fmt("uniqueness fails at", (d, k))
-    return cases, None
+                    ctx.fail("uniqueness fails at", (d, k))
 
 
 @_check("1531", "the split is linear and invertible")
 def _split_linear(ctx):
-    rng = ctx.rng("1531")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1, 3):
             for _ in range(ctx.samples):
-                cases += 1
-                p = random_polynomial(d, k, rng)
-                q = random_polynomial(d, k, rng)
+                ctx.cases += 1
+                p = random_polynomial(d, k, ctx.rng)
+                q = random_polynomial(d, k, ctx.rng)
                 hp, qp = divide_by_last_variable(p)
                 hq, qq = divide_by_last_variable(q)
                 hs, qs = divide_by_last_variable(p + q)
                 if hs != hp + hq or qs != qp + qq:
-                    return cases, _fmt("additivity fails at", (d, k))
+                    ctx.fail("additivity fails at", (d, k))
     zero2 = Polynomial.zero(2)
-    cases += 1
+    ctx.cases += 1
     if divide_by_last_variable(zero2) != (Polynomial.zero(1), zero2):
-        return cases, "zero does not split to zeros"
-    return cases, None
+        ctx.fail("zero does not split to zeros")
 
 
 @_check("1534", "coefficients in the last variable rebuild the polynomial")
 def _horner(ctx):
-    rng = ctx.rng("1534")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(0, 4):
             for _ in range(ctx.samples):
-                cases += 1
-                p = random_polynomial(d, k, rng)
+                ctx.cases += 1
+                p = random_polynomial(d, k, ctx.rng)
                 coeffs = horner_coefficients(p)
                 xd = Polynomial.variable(d, d)
                 rebuilt = Polynomial.zero(d)
@@ -694,45 +660,35 @@ def _horner(ctx):
                     rebuilt = rebuilt + embed_last(r) * power
                     power = power * xd
                 if rebuilt != p:
-                    return cases, _fmt("reconstruction fails at", (d, k))
+                    ctx.fail("reconstruction fails at", (d, k))
                 kk = max(p.degree(), 0)
                 for i, r in enumerate(coeffs):
                     if r.degree() != NEG_INF and r.degree() > kk - i:
-                        return cases, _fmt("coefficient degree too big at", (d, k, i))
-    return cases, None
+                        ctx.fail("coefficient degree too big at", (d, k, i))
 
 
 @_check("1540", "composition with affine maps is polynomial of same degree")
 def _compose_affine_check(ctx):
-    rng = ctx.rng("1540")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(0, 3):
             for _ in range(ctx.samples):
-                p = random_polynomial(d, k, rng)
-                f = geo.AffineMap(
-                    [[random_rational(rng) for _ in range(d)] for _ in range(d)],
-                    random_point(d, rng),
-                )
+                p = random_polynomial(d, k, ctx.rng)
+                f = _random_affine_map(d, ctx.rng)
                 q = compose_affine(p, f)
                 if q.degree() > max(p.degree(), 0) and not p.is_zero():
-                    return cases, _fmt("degree grew at", (d, k))
+                    ctx.fail("degree grew at", (d, k))
                 for _ in range(5):
-                    cases += 1
-                    y = random_point(d, rng)
+                    ctx.cases += 1
+                    y = random_point(d, ctx.rng)
                     if q.eval(y) != p.eval(geo.affine_apply(f, y)):
-                        return cases, _fmt("pointwise composition off at", (d, k))
+                        ctx.fail("pointwise composition off at", (d, k))
                 # functoriality through a second map
-                g = geo.AffineMap(
-                    [[random_rational(rng) for _ in range(d)] for _ in range(d)],
-                    random_point(d, rng),
-                )
-                cases += 1
+                g = _random_affine_map(d, ctx.rng)
+                ctx.cases += 1
                 if compose_affine(p, geo.affine_compose(f, g)) != compose_affine(
                     compose_affine(p, f), g
                 ):
-                    return cases, _fmt("functoriality fails at", (d, k))
-    return cases, None
+                    ctx.fail("functoriality fails at", (d, k))
 
 
 # ---------------------------------------------------------------- geometry
@@ -740,211 +696,170 @@ def _compose_affine_check(ctx):
 
 @_check("1402", "affine maps preserve the isobarycenter")
 def _isobarycenter_affine(ctx):
-    rng = ctx.rng("1402")
-    cases = 0
     for d in ctx.dims():
         for _ in range(ctx.samples):
-            cases += 1
-            pts = [random_point(d, rng) for _ in range(rng.randint(1, d + 2))]
-            f = geo.AffineMap(
-                [[random_rational(rng) for _ in range(d)] for _ in range(d)],
-                random_point(d, rng),
-            )
+            ctx.cases += 1
+            pts = [random_point(d, ctx.rng) for _ in range(ctx.rng.randint(1, d + 2))]
+            f = _random_affine_map(d, ctx.rng)
             lhs = geo.affine_apply(f, geo.isobarycenter(pts))
             rhs = geo.isobarycenter([geo.affine_apply(f, p) for p in pts])
             if lhs != rhs:
-                return cases, _fmt("isobarycenter not preserved at d =", d)
-    return cases, None
+                ctx.fail("isobarycenter not preserved at d =", d)
 
 
 @_check("1435", "reference isobarycenter coordinates")
 def _reference_isobarycenter(ctx):
-    cases = 0
     for d in ctx.dims():
-        cases += 1
+        ctx.cases += 1
         g = geo.isobarycenter(geo.reference_vertices(d))
         if g != (Fraction(1, d + 1),) * d:
-            return cases, _fmt("coordinates wrong at d =", d, "->", g)
-    return cases, None
+            ctx.fail("coordinates wrong at d =", d, "->", g)
 
 
 @_check("1436", "reference vertices are affinely independent")
 def _reference_independent(ctx):
-    cases = 0
     for d in ctx.dims(1, 4):
-        cases += 1
+        ctx.cases += 1
         if not geo.is_affinely_independent(geo.reference_vertices(d)):
-            return cases, _fmt("reference family dependent at d =", d)
-    return cases, None
+            ctx.fail("reference family dependent at d =", d)
 
 
 @_check("1543", "reference affine basis: nodal values and unit sum")
 def _reference_affine_basis(ctx):
-    cases = 0
     for d in ctx.dims():
         basis = [geo.reference_barycentric(d, i) for i in range(d + 1)]
         verts = geo.reference_vertices(d)
         for i, Li in enumerate(basis):
-            cases += 1
+            ctx.cases += 1
             if Li.degree() != 1:
-                return cases, _fmt("degree wrong at", (d, i))
+                ctx.fail("degree wrong at", (d, i))
             for j, v in enumerate(verts):
                 if Li.eval(v) != (1 if i == j else 0):
-                    return cases, _fmt("nodal value wrong at", (d, i, j))
-        total = Polynomial.zero(d)
-        for Li in basis:
-            total = total + Li
-        cases += 1
-        if total != Polynomial.constant(d, 1):
-            return cases, _fmt("unit-sum fails at d =", d)
-    return cases, None
+                    ctx.fail("nodal value wrong at", (d, i, j))
+        ctx.cases += 1
+        if not _sums_to_one(basis, d):
+            ctx.fail("unit-sum fails at d =", d)
 
 
 @_check("1542", "reference affine basis in dimension 1 is the nodal basis")
 def _reference_affine_1d(ctx):
-    cases = 1
+    ctx.cases += 1
     want = [lagrange_basis_1d([0, 1], i) for i in range(2)]
     got = [geo.reference_barycentric(1, i) for i in range(2)]
     if got != want:
-        return cases, _fmt("bases differ:", got, "vs", want)
-    return cases, None
+        ctx.fail("bases differ:", got, "vs", want)
 
 
 @_check("1548", "dimension-1 geometric mapping closed form")
 def _geo_map_1d(ctx):
-    rng = ctx.rng("1548")
-    cases = 0
     for _ in range(ctx.samples * 2):
-        cases += 1
-        v0, v1 = random_rational(rng), random_rational(rng)
+        ctx.cases += 1
+        v0, v1 = random_rational(ctx.rng), random_rational(ctx.rng)
         f = geo.geometric_mapping(((v0,), (v1,)))
-        x = random_rational(rng)
+        x = random_rational(ctx.rng)
         if geo.affine_apply(f, (x,)) != ((v1 - v0) * x + v0,):
-            return cases, _fmt("closed form off for", (v0, v1))
-    return cases, None
+            ctx.fail("closed form off for", (v0, v1))
 
 
 @_check("1549", "reference geometric mapping is the identity")
 def _geo_map_reference(ctx):
-    cases = 0
     for d in ctx.dims():
-        cases += 1
+        ctx.cases += 1
         f = geo.geometric_mapping(geo.reference_vertices(d))
         if f != geo.identity_map(d):
-            return cases, _fmt("not the identity at d =", d)
-    return cases, None
+            ctx.fail("not the identity at d =", d)
 
 
 @_check("1550", "geometric mapping sends reference vertices to vertices")
 def _geo_map_properties(ctx):
-    rng = ctx.rng("1550")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             f = geo.geometric_mapping(fam)
             for i, rv in enumerate(geo.reference_vertices(d)):
-                cases += 1
+                ctx.cases += 1
                 if geo.affine_apply(f, rv) != fam[i]:
-                    return cases, _fmt("vertex image wrong at", (d, i))
+                    ctx.fail("vertex image wrong at", (d, i))
             inv = geo.affine_inverse(f)
             for i, v in enumerate(fam):
-                cases += 1
+                ctx.cases += 1
                 if geo.affine_apply(inv, v) != geo.reference_vertices(d)[i]:
-                    return cases, _fmt("inverse vertex image wrong at", (d, i))
-            cases += 1
+                    ctx.fail("inverse vertex image wrong at", (d, i))
+            ctx.cases += 1
             if geo.affine_compose(f, inv) != geo.identity_map(d):
-                return cases, _fmt("compose-with-inverse not identity at d =", d)
-    return cases, None
+                ctx.fail("compose-with-inverse not identity at d =", d)
 
 
 @_check("1553", "barycentric polynomials of the reference family")
 def _barycentric_reference(ctx):
-    cases = 0
     for d in ctx.dims():
-        cases += 1
+        ctx.cases += 1
         got = geo.barycentric_polynomials(geo.reference_vertices(d))
         want = [geo.reference_barycentric(d, i) for i in range(d + 1)]
         if got != want:
-            return cases, _fmt("reference barycentric mismatch at d =", d)
-    return cases, None
+            ctx.fail("reference barycentric mismatch at d =", d)
 
 
 @_check("1554", "barycentric polynomials: nodal values and unit sum")
 def _barycentric_properties(ctx):
-    rng = ctx.rng("1554")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             lams = geo.barycentric_polynomials(fam)
             for i, lam in enumerate(lams):
                 for j, v in enumerate(fam):
-                    cases += 1
+                    ctx.cases += 1
                     if lam.eval(v) != (1 if i == j else 0):
-                        return cases, _fmt("nodal value wrong at", (d, i, j))
-            total = Polynomial.zero(d)
-            for lam in lams:
-                total = total + lam
-            cases += 1
-            if total != Polynomial.constant(d, 1):
-                return cases, _fmt("unit-sum fails at d =", d)
-    return cases, None
+                        ctx.fail("nodal value wrong at", (d, i, j))
+            ctx.cases += 1
+            if not _sums_to_one(lams, d):
+                ctx.fail("unit-sum fails at d =", d)
 
 
 @_check("1555", "affine polynomials decompose over the vertices")
 def _affine_decomposition(ctx):
-    rng = ctx.rng("1555")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             lams = geo.barycentric_polynomials(fam)
             for _ in range(ctx.samples):
-                cases += 1
-                p = random_polynomial(d, 1, rng)
+                ctx.cases += 1
+                p = random_polynomial(d, 1, ctx.rng)
                 rebuilt = Polynomial.zero(d)
                 for v, lam in zip(fam, lams):
                     rebuilt = rebuilt + lam.scale(p.eval(v))
                 if rebuilt != p:
-                    return cases, _fmt("decomposition fails at d =", d)
-    return cases, None
+                    ctx.fail("decomposition fails at d =", d)
 
 
 @_check("1559", "barycentric values rebuild the point and sum to one")
 def _barycentric_point(ctx):
-    rng = ctx.rng("1559")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             lams = geo.barycentric_polynomials(fam)
             for _ in range(ctx.samples):
-                cases += 1
-                x = random_point(d, rng)
+                ctx.cases += 1
+                x = random_point(d, ctx.rng)
                 values = [lam.eval(x) for lam in lams]
                 if sum(values) != 1:
-                    return cases, _fmt("values do not sum to one at d =", d)
+                    ctx.fail("values do not sum to one at d =", d)
                 rebuilt = tuple(
                     sum((mu * v[row] for mu, v in zip(values, fam)), Fraction(0))
                     for row in range(d)
                 )
                 if rebuilt != x:
-                    return cases, _fmt("point not rebuilt at d =", d)
-    return cases, None
+                    ctx.fail("point not rebuilt at d =", d)
 
 
 @_check("1560", "barycentric values equal inverse-mapping coordinates")
 def _barycentric_inverse(ctx):
-    rng = ctx.rng("1560")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             lams = geo.barycentric_polynomials(fam)
             inv = geo.affine_inverse(geo.geometric_mapping(fam))
             for _ in range(ctx.samples):
-                cases += 1
-                x = random_point(d, rng)
+                ctx.cases += 1
+                x = random_point(d, ctx.rng)
                 back = geo.affine_apply(inv, x)
                 if any(lams[i].eval(x) != back[i - 1] for i in range(1, d + 1)):
-                    return cases, _fmt("coordinate mismatch at d =", d)
-    return cases, None
+                    ctx.fail("coordinate mismatch at d =", d)
 
 
 def _random_hyperplane_point(fam, i, rng):
@@ -960,171 +875,144 @@ def _random_hyperplane_point(fam, i, rng):
 
 @_check("1563", "face hyperplane is the zero set of one barycentric value")
 def _hyperplane_kernel(ctx):
-    rng = ctx.rng("1563")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             for i in range(d + 1):
                 for _ in range(ctx.samples):
-                    cases += 1
-                    x = _random_hyperplane_point(fam, i, rng)
+                    ctx.cases += 1
+                    x = _random_hyperplane_point(fam, i, ctx.rng)
                     if not geo.face_hyperplane_contains(fam, i, x):
-                        return cases, _fmt("hyperplane point rejected at", (d, i))
-                cases += 1
+                        ctx.fail("hyperplane point rejected at", (d, i))
+                ctx.cases += 1
                 if geo.face_hyperplane_contains(fam, i, fam[i]):
-                    return cases, _fmt("opposite vertex accepted at", (d, i))
-    return cases, None
+                    ctx.fail("opposite vertex accepted at", (d, i))
 
 
 @_check("1564", "reference face hyperplanes have coordinate equations")
 def _reference_hyperplane(ctx):
-    rng = ctx.rng("1564")
-    cases = 0
     for d in ctx.dims():
         fam = geo.reference_vertices(d)
         for _ in range(ctx.samples * 4):
-            cases += 1
-            x = random_point(d, rng)
+            ctx.cases += 1
+            x = random_point(d, ctx.rng)
             if geo.face_hyperplane_contains(fam, 0, x) != (sum(x) == 1):
-                return cases, _fmt("sum-one equation fails at d =", d)
+                ctx.fail("sum-one equation fails at d =", d)
             for i in range(1, d + 1):
                 if geo.face_hyperplane_contains(fam, i, x) != (x[i - 1] == 0):
-                    return cases, _fmt("coordinate equation fails at", (d, i))
-    return cases, None
+                    ctx.fail("coordinate equation fails at", (d, i))
 
 
 @_check("1565", "face hyperplanes match the reference ones through the map")
 def _hyperplane_image(ctx):
-    rng = ctx.rng("1565")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng, include_reference=False):
+        for fam in ctx.families(d, include_reference=False):
             forward = geo.geometric_mapping(fam)
             inv = geo.affine_inverse(forward)
             ref = geo.reference_vertices(d)
             for i in range(d + 1):
                 for _ in range(20):
-                    cases += 2
-                    xhat = _random_hyperplane_point(ref, i, rng)
+                    ctx.cases += 2
+                    xhat = _random_hyperplane_point(ref, i, ctx.rng)
                     if not geo.face_hyperplane_contains(
                         fam, i, geo.affine_apply(forward, xhat)
                     ):
-                        return cases, _fmt("forward image misses at", (d, i))
-                    x = _random_hyperplane_point(fam, i, rng)
+                        ctx.fail("forward image misses at", (d, i))
+                    x = _random_hyperplane_point(fam, i, ctx.rng)
                     if not geo.face_hyperplane_contains(
                         ref, i, geo.affine_apply(inv, x)
                     ):
-                        return cases, _fmt("inverse image misses at", (d, i))
-    return cases, None
+                        ctx.fail("inverse image misses at", (d, i))
 
 
 @_check("1574", "simplex membership is invariant under vertex relabeling")
 def _relabel_invariance(ctx):
-    rng = ctx.rng("1574")
-    cases = 0
     for d in ctx.dims(1, 3):
-        for fam in ctx.families(d, rng, include_reference=False):
+        for fam in ctx.families(d, include_reference=False):
             perms = list(permutations(range(d + 1)))
             for _ in range(ctx.samples):
-                x = random_point(d, rng)
+                x = random_point(d, ctx.rng)
                 inside = geo.in_simplex(fam, x)
                 for perm in perms:
-                    cases += 1
+                    ctx.cases += 1
                     relabeled = tuple(fam[p] for p in perm)
                     if geo.in_simplex(relabeled, x) != inside:
-                        return cases, _fmt("membership changed at", (d, perm))
-    return cases, None
+                        ctx.fail("membership changed at", (d, perm))
 
 
 @_check("1414", "faces of independent families are independent")
 def _subfamily_independent(ctx):
-    rng = ctx.rng("1414")
-    cases = 0
     for d in ctx.dims(2):
-        for fam in ctx.families(d, rng, include_reference=False):
+        for fam in ctx.families(d, include_reference=False):
             for l in range(1, d + 1):
                 for _ in range(ctx.samples):
-                    cases += 1
-                    sel = rng.sample(range(d + 1), l + 1)
+                    ctx.cases += 1
+                    sel = ctx.rng.sample(range(d + 1), l + 1)
                     f = geo.face_mapping(fam, sel)
                     if mat_rank(f.matrix) != l:
-                        return cases, _fmt("face not independent at", (d, l, tuple(sel)))
-    return cases, None
+                        ctx.fail("face not independent at", (d, l, tuple(sel)))
 
 
 @_check("1581", "face mappings send reference vertices to selected ones")
 def _face_mapping_vertices(ctx):
-    rng = ctx.rng("1581")
-    cases = 0
     for d in ctx.dims(2):
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             for l in range(1, d + 1):
-                sel = rng.sample(range(d + 1), l + 1)
+                sel = ctx.rng.sample(range(d + 1), l + 1)
                 f = geo.face_mapping(fam, sel)
                 for j, rv in enumerate(geo.reference_vertices(l)):
-                    cases += 1
+                    ctx.cases += 1
                     if geo.affine_apply(f, rv) != fam[sel[j]]:
-                        return cases, _fmt("vertex image wrong at", (d, l, j))
-    return cases, None
+                        ctx.fail("vertex image wrong at", (d, l, j))
 
 
 @_check("1579", "the full-selector face mapping is the geometric mapping")
 def _face_mapping_full(ctx):
-    rng = ctx.rng("1579")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
-            cases += 1
+        for fam in ctx.families(d):
+            ctx.cases += 1
             if geo.face_mapping(fam, range(d + 1)) != geo.geometric_mapping(fam):
-                return cases, _fmt("identity selector differs at d =", d)
-    return cases, None
+                ctx.fail("identity selector differs at d =", d)
 
 
 @_check("1584", "hyperface mappings land on the opposite hyperplane")
 def _hyperface_mapping_check(ctx):
-    rng = ctx.rng("1584")
-    cases = 0
     for d in ctx.dims(2):
-        for fam in ctx.families(d, rng):
+        for fam in ctx.families(d):
             for i in range(d + 1):
                 f = geo.hyperface_mapping(fam, i)
                 for j in range(d):
-                    cases += 1
+                    ctx.cases += 1
                     image = geo.affine_apply(f, geo.reference_vertices(d - 1)[j])
                     want = fam[j] if j < i else fam[j + 1]
                     if image != want:
-                        return cases, _fmt("vertex image wrong at", (d, i, j))
+                        ctx.fail("vertex image wrong at", (d, i, j))
                 for _ in range(ctx.samples):
-                    cases += 1
-                    xhat = random_point(d - 1, rng)
+                    ctx.cases += 1
+                    xhat = random_point(d - 1, ctx.rng)
                     if not geo.face_hyperplane_contains(
                         fam, i, geo.affine_apply(f, xhat)
                     ):
-                        return cases, _fmt("image off the hyperplane at", (d, i))
-    return cases, None
+                        ctx.fail("image off the hyperplane at", (d, i))
 
 
 @_check("1586", "relabeling maps transport barycentric values and faces")
 def _permutation_mapping_check(ctx):
-    rng = ctx.rng("1586")
-    cases = 0
     for d in ctx.dims(1, 3):
-        for fam in ctx.families(d, rng, include_reference=False):
+        for fam in ctx.families(d, include_reference=False):
             lams = geo.barycentric_polynomials(fam)
             perms = list(permutations(range(d + 1)))
-            rng.shuffle(perms)
+            ctx.rng.shuffle(perms)
             for perm in perms[: ctx.samples]:
                 f = geo.permutation_mapping(fam, perm)
                 for j in range(d + 1):
-                    cases += 1
+                    ctx.cases += 1
                     if compose_affine(lams[perm[j]], f) != geo.reference_barycentric(d, j):
-                        return cases, _fmt("pullback mismatch at", (d, perm, j))
+                        ctx.fail("pullback mismatch at", (d, perm, j))
                 for _ in range(ctx.samples):
-                    cases += 1
-                    xhat = _random_hyperplane_point(geo.reference_vertices(d), d, rng)
+                    ctx.cases += 1
+                    xhat = _random_hyperplane_point(geo.reference_vertices(d), d, ctx.rng)
                     if lams[perm[d]].eval(geo.affine_apply(f, xhat)) != 0:
-                        return cases, _fmt("face transport fails at", (d, perm))
-    return cases, None
+                        ctx.fail("face transport fails at", (d, perm))
 
 
 # ---------------------------------------------------------------- nodes
@@ -1132,12 +1020,10 @@ def _permutation_mapping_check(ctx):
 
 @_check("1589", "dimension-1 nodes follow the arithmetic progression")
 def _nodes_1d(ctx):
-    rng = ctx.rng("1589")
-    cases = 0
     for k in ctx.degrees():
         for _ in range(ctx.samples):
-            cases += 1
-            v0, v1 = random_rational(rng), random_rational(rng)
+            ctx.cases += 1
+            v0, v1 = random_rational(ctx.rng), random_rational(ctx.rng)
             got = [pt[0] for _, pt in fe.lagrange_nodes(((v0,), (v1,)), k)]
             if k == 0:
                 want = [(v0 + v1) / 2]
@@ -1145,198 +1031,163 @@ def _nodes_1d(ctx):
                 h = Fraction(v1 - v0, k)
                 want = [v0 + i * h for i in range(k + 1)]
             if got != want:
-                return cases, _fmt("node values wrong at k =", k)
-    return cases, None
+                ctx.fail("node values wrong at k =", k)
 
 
 @_check("1590", "nodes are pairwise distinct with the right count")
 def _nodes_distinct(ctx):
-    rng = ctx.rng("1590")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees():
-            for fam in ctx.families(d, rng):
-                cases += 1
+            for fam in ctx.families(d):
+                ctx.cases += 1
                 nodes = [pt for _, pt in fe.lagrange_nodes(fam, k)]
                 if len(set(nodes)) != len(nodes):
-                    return cases, _fmt("duplicate nodes at", (d, k))
+                    ctx.fail("duplicate nodes at", (d, k))
                 if len(nodes) != mi.binomial(k + d, d):
-                    return cases, _fmt("node count wrong at", (d, k))
-    return cases, None
+                    ctx.fail("node count wrong at", (d, k))
 
 
 @_check("1591", "barycentric values of the nodes")
 def _node_barycentric(ctx):
-    rng = ctx.rng("1591")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(1):
-            for fam in ctx.families(d, rng, include_reference=False):
+            for fam in ctx.families(d, include_reference=False):
                 lams = geo.barycentric_polynomials(fam)
                 for alpha, pt in fe.lagrange_nodes(fam, k):
-                    cases += 1
+                    ctx.cases += 1
                     if lams[0].eval(pt) != 1 - Fraction(mi.length(alpha), k):
-                        return cases, _fmt("first value wrong at", (d, k, alpha))
+                        ctx.fail("first value wrong at", (d, k, alpha))
                     if any(
                         lams[i].eval(pt) != Fraction(alpha[i - 1], k)
                         for i in range(1, d + 1)
                     ):
-                        return cases, _fmt("value wrong at", (d, k, alpha))
-    return cases, None
+                        ctx.fail("value wrong at", (d, k, alpha))
 
 
 @_check("1592", "vertices appear among the nodes")
 def _vertices_are_nodes(ctx):
-    rng = ctx.rng("1592")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(1):
-            for fam in ctx.families(d, rng):
+            for fam in ctx.families(d):
                 nodes = dict(fe.lagrange_nodes(fam, k))
-                cases += 1
+                ctx.cases += 1
                 if nodes[(0,) * d] != fam[0]:
-                    return cases, _fmt("origin label misses v_0 at", (d, k))
+                    ctx.fail("origin label misses v_0 at", (d, k))
                 for i in range(1, d + 1):
                     label = tuple(k if j == i - 1 else 0 for j in range(d))
                     if nodes[label] != fam[i]:
-                        return cases, _fmt("corner label misses vertex at", (d, k, i))
-    return cases, None
+                        ctx.fail("corner label misses vertex at", (d, k, i))
 
 
 @_check("1593", "degree-1 nodes are exactly the vertices")
 def _degree1_nodes(ctx):
-    rng = ctx.rng("1593")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
-            cases += 1
+        for fam in ctx.families(d):
+            ctx.cases += 1
             got = [pt for _, pt in fe.lagrange_nodes(fam, 1)]
             if got != list(fam):
-                return cases, _fmt("degree-1 nodes differ at d =", d)
-    return cases, None
+                ctx.fail("degree-1 nodes differ at d =", d)
 
 
 @_check("1595", "shrunken vertices are nodes next to the corners")
 def _sub_vertex_labels(ctx):
-    rng = ctx.rng("1595")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(1):
-            for fam in ctx.families(d, rng, include_reference=False):
+            for fam in ctx.families(d, include_reference=False):
                 nodes = dict(fe.lagrange_nodes(fam, k))
                 sub = fe.sub_vertices(fam, k)
-                cases += 1
+                ctx.cases += 1
                 if sub[0] != fam[0]:
-                    return cases, _fmt("first sub-vertex moved at", (d, k))
+                    ctx.fail("first sub-vertex moved at", (d, k))
                 for i in range(1, d + 1):
                     label = tuple(k - 1 if j == i - 1 else 0 for j in range(d))
                     if sub[i] != nodes[label]:
-                        return cases, _fmt("sub-vertex is not that node at", (d, k, i))
-    return cases, None
+                        ctx.fail("sub-vertex is not that node at", (d, k, i))
 
 
 @_check("1597", "shrunken vertices stay affinely independent")
 def _sub_vertices_independent(ctx):
-    rng = ctx.rng("1597")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(2):
-            for fam in ctx.families(d, rng):
-                cases += 1
+            for fam in ctx.families(d):
+                ctx.cases += 1
                 if not geo.is_affinely_independent(fe.sub_vertices(fam, k)):
-                    return cases, _fmt("shrunken family degenerate at", (d, k))
-    return cases, None
+                    ctx.fail("shrunken family degenerate at", (d, k))
 
 
 @_check("1598", "lower-degree nodes of the shrunken family are inner nodes")
 def _sub_nodes(ctx):
-    rng = ctx.rng("1598")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(2):
-            for fam in ctx.families(d, rng):
-                cases += 1
+            for fam in ctx.families(d):
+                ctx.cases += 1
                 if not fe.sub_nodes_coincide(fam, k):
-                    return cases, _fmt("sub-node identity fails at", (d, k))
-    return cases, None
+                    ctx.fail("sub-node identity fails at", (d, k))
 
 
 @_check("1599", "reference node coordinates")
 def _reference_node_coords(ctx):
-    cases = 0
     for d in ctx.dims():
-        cases += 1
+        ctx.cases += 1
         if fe.reference_nodes(d, 0)[0][1] != (Fraction(1, d + 1),) * d:
-            return cases, _fmt("degree-0 reference node wrong at d =", d)
+            ctx.fail("degree-0 reference node wrong at d =", d)
         for k in ctx.degrees(1):
             for alpha, pt in fe.reference_nodes(d, k):
-                cases += 1
+                ctx.cases += 1
                 if pt != tuple(Fraction(a, k) for a in alpha):
-                    return cases, _fmt("coordinates wrong at", (d, k, alpha))
-    return cases, None
+                    ctx.fail("coordinates wrong at", (d, k, alpha))
 
 
 @_check("1600", "dimension-1 reference nodes are the uniform grid")
 def _reference_nodes_1d(ctx):
-    cases = 0
     for k in ctx.degrees():
-        cases += 1
+        ctx.cases += 1
         got = [pt[0] for _, pt in fe.reference_nodes(1, k)]
         want = [Fraction(1, 2)] if k == 0 else [Fraction(i, k) for i in range(k + 1)]
         if got != want:
-            return cases, _fmt("grid wrong at k =", k)
-    return cases, None
+            ctx.fail("grid wrong at k =", k)
 
 
 @_check("1604", "nodes are geometric images of the reference nodes")
 def _node_images(ctx):
-    rng = ctx.rng("1604")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees():
-            for fam in ctx.families(d, rng):
-                cases += 1
+            for fam in ctx.families(d):
+                ctx.cases += 1
                 if not fe.nodes_are_reference_images(fam, k):
-                    return cases, _fmt("image identity fails at", (d, k))
-    return cases, None
+                    ctx.fail("image identity fails at", (d, k))
 
 
 @_check("1605", "census of nodes on each face hyperplane")
 def _hyperplane_census(ctx):
-    rng = ctx.rng("1605")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(1):
-            for fam in ctx.families(d, rng, include_reference=False):
+            for fam in ctx.families(d, include_reference=False):
                 nodes = dict(fe.lagrange_nodes(fam, k))
                 lams = geo.barycentric_polynomials(fam)
                 for i in range(d + 1):
-                    cases += 1
+                    ctx.cases += 1
                     listed = fe.nodes_on_hyperplane(fam, k, i)
                     if len(listed) != mi.binomial(k + d - 1, d - 1):
-                        return cases, _fmt("census count wrong at", (d, k, i))
+                        ctx.fail("census count wrong at", (d, k, i))
                     geometric = {
                         alpha
                         for alpha, pt in nodes.items()
                         if lams[i].eval(pt) == 0
                     }
                     if set(listed) != geometric:
-                        return cases, _fmt("census disagrees with geometry at", (d, k, i))
-    return cases, None
+                        ctx.fail("census disagrees with geometry at", (d, k, i))
 
 
 @_check("1607", "hyperface mappings transport reference nodes to face nodes")
 def _node_transport(ctx):
-    rng = ctx.rng("1607")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1):
-            for fam in ctx.families(d, rng):
+            for fam in ctx.families(d):
                 for i in range(d + 1):
-                    cases += 1
+                    ctx.cases += 1
                     if not fe.hyperface_transport_consistent(fam, k, i):
-                        return cases, _fmt("transport fails at", (d, k, i))
-    return cases, None
+                        ctx.fail("transport fails at", (d, k, i))
 
 
 # ---------------------------------------------------------------- evaluations
@@ -1344,53 +1195,44 @@ def _node_transport(ctx):
 
 @_check("1609", "dimension-1 node evaluations")
 def _linear_forms_1d(ctx):
-    rng = ctx.rng("1609")
-    cases = 0
     for k in ctx.degrees():
-        fam = ((random_rational(rng),), (random_rational(rng),))
+        fam = ((random_rational(ctx.rng),), (random_rational(ctx.rng),))
         while fam[0] == fam[1]:
-            fam = (fam[0], (random_rational(rng),))
+            fam = (fam[0], (random_rational(ctx.rng),))
         nodes = fe.lagrange_nodes(fam, k)
         for _ in range(ctx.samples):
-            p = random_polynomial(1, k, rng)
+            p = random_polynomial(1, k, ctx.rng)
             for alpha, pt in nodes:
-                cases += 1
+                ctx.cases += 1
                 if fe.linear_form(fam, k, alpha, p) != p.eval(pt):
-                    return cases, _fmt("evaluation mismatch at", (k, alpha))
-    return cases, None
+                    ctx.fail("evaluation mismatch at", (k, alpha))
 
 
 @_check("1613", "reference node evaluations in dimension 1")
 def _reference_forms_1d(ctx):
-    rng = ctx.rng("1613")
-    cases = 0
     for k in ctx.degrees():
         fam = geo.reference_vertices(1)
         for alpha, pt in fe.lagrange_nodes(fam, k):
-            cases += 1
-            p = random_polynomial(1, k, rng)
+            ctx.cases += 1
+            p = random_polynomial(1, k, ctx.rng)
             if fe.linear_form(fam, k, alpha, p) != p.eval(pt):
-                return cases, _fmt("evaluation mismatch at", (k, alpha))
-    return cases, None
+                ctx.fail("evaluation mismatch at", (k, alpha))
 
 
 @_check("1614", "node evaluations pull back through the geometric map")
 def _forms_pullback(ctx):
-    rng = ctx.rng("1614")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(0, 3):
-            for fam in ctx.families(d, rng, include_reference=False):
+            for fam in ctx.families(d, include_reference=False):
                 forward = geo.geometric_mapping(fam)
                 ref = dict(fe.reference_nodes(d, k))
                 for _ in range(ctx.samples):
-                    p = random_polynomial(d, k, rng)
+                    p = random_polynomial(d, k, ctx.rng)
                     pulled = compose_affine(p, forward)
                     for alpha, pt in fe.lagrange_nodes(fam, k):
-                        cases += 1
+                        ctx.cases += 1
                         if p.eval(pt) != pulled.eval(ref[alpha]):
-                            return cases, _fmt("pullback mismatch at", (d, k, alpha))
-    return cases, None
+                            ctx.fail("pullback mismatch at", (d, k, alpha))
 
 
 # ---------------------------------------------------------------- elements
@@ -1406,194 +1248,163 @@ def _kronecker_ok(elem: fe.LagrangeElement):
 
 @_check("1617", "degree-0 element: one node, constant shape function")
 def _element_degree0(ctx):
-    rng = ctx.rng("1617")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
-            cases += 1
+        for fam in ctx.families(d):
+            ctx.cases += 1
             elem = fe.build_element(fam, 0)
             if elem.nodes != (geo.isobarycenter(fam),):
-                return cases, _fmt("node is not the isobarycenter at d =", d)
+                ctx.fail("node is not the isobarycenter at d =", d)
             if list(elem.shape_functions) != [Polynomial.constant(d, 1)]:
-                return cases, _fmt("shape function is not 1 at d =", d)
-    return cases, None
+                ctx.fail("shape function is not 1 at d =", d)
 
 
 @_check("1620", "degree-1 shape functions are the barycentric polynomials")
 def _element_degree1(ctx):
-    rng = ctx.rng("1620")
-    cases = 0
     for d in ctx.dims():
-        for fam in ctx.families(d, rng):
-            cases += 1
+        for fam in ctx.families(d):
+            ctx.cases += 1
             elem = fe.build_element(fam, 1)
             if list(elem.shape_functions) != geo.barycentric_polynomials(fam):
-                return cases, _fmt("degree-1 basis mismatch at d =", d)
-    return cases, None
+                ctx.fail("degree-1 basis mismatch at d =", d)
 
 
 @_check("1477", "dimension-1 elements are unisolvent")
 def _unisolvence_1d(ctx):
-    rng = ctx.rng("1477")
-    cases = 0
     for k in ctx.degrees():
         for _ in range(ctx.samples):
-            cases += 1
-            fam = random_independent_family(1, rng)
+            ctx.cases += 1
+            fam = random_independent_family(1, ctx.rng)
             if not fe.is_unisolvent(fam, k):
-                return cases, _fmt("singular node matrix at k =", k)
-    return cases, None
+                ctx.fail("singular node matrix at k =", k)
 
 
 @_check("1626", "unisolvence sweep with dual nodal bases")
 def _unisolvence_sweep(ctx):
-    rng = ctx.rng("1626")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees():
-            for fam in ctx.families(d, rng):
-                cases += 1
+            for fam in ctx.families(d):
+                ctx.cases += 1
                 if mat_det(fe.vandermonde_matrix(fam, k)) == 0:
-                    return cases, _fmt("singular node matrix at", (d, k))
+                    ctx.fail("singular node matrix at", (d, k))
                 witness = _kronecker_ok(fe.build_element(fam, k))
                 if witness is not None:
-                    return cases, _fmt("dual basis fails at", (d, k), "pair", witness)
-    return cases, None
+                    ctx.fail("dual basis fails at", (d, k), "pair", witness)
 
 
 @_check("1621", "vanishing on the last reference face forces a clean split")
 def _factor_reference(ctx):
-    rng = ctx.rng("1621")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1, 4):
             xd = Polynomial.variable(d, d)
             for _ in range(ctx.samples):
-                cases += 1
-                q = random_polynomial(d, k - 1, rng)
+                ctx.cases += 1
+                q = random_polynomial(d, k - 1, ctx.rng)
                 head, quot = divide_by_last_variable(xd * q)
                 if not head.is_zero() or quot != q:
-                    return cases, _fmt("split not clean at", (d, k))
-    return cases, None
+                    ctx.fail("split not clean at", (d, k))
 
 
 @_check("1623", "factoring a polynomial vanishing on a face hyperplane")
 def _factor_general(ctx):
-    rng = ctx.rng("1623")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1, 4):
-            for fam in ctx.families(d, rng, include_reference=False)[:2]:
+            for fam in ctx.families(d, include_reference=False)[:2]:
                 lams = geo.barycentric_polynomials(fam)
                 for i in range(d + 1):
                     for _ in range(ctx.samples):
-                        cases += 1
-                        q = random_polynomial(d, k - 1, rng)
+                        ctx.cases += 1
+                        q = random_polynomial(d, k - 1, ctx.rng)
                         got = fe.factor_on_hyperplane(fam, k, i, lams[i] * q)
                         if got != q:
-                            return cases, _fmt("quotient wrong at", (d, k, i))
-                    cases += 1
+                            ctx.fail("quotient wrong at", (d, k, i))
+                    ctx.cases += 1
                     try:
                         fe.factor_on_hyperplane(fam, k, i, Polynomial.constant(d, 1))
-                        return cases, _fmt("non-vanishing input accepted at", (d, k, i))
+                        ctx.fail("non-vanishing input accepted at", (d, k, i))
                     except NotVanishingError:
                         pass
-    return cases, None
 
 
 @_check("1628", "face-node vanishing equals hyperplane vanishing")
 def _face_unisolvence_check(ctx):
-    rng = ctx.rng("1628")
-    cases = 0
     for d in ctx.dims(2):
         for k in ctx.degrees(1, 3):
-            for fam in ctx.families(d, rng, include_reference=False)[:2]:
+            for fam in ctx.families(d, include_reference=False)[:2]:
                 lams = geo.barycentric_polynomials(fam)
                 elem = fe.build_element(fam, k)
                 for i in range(d + 1):
-                    cases += 1
-                    q = random_polynomial(d, k - 1, rng)
+                    ctx.cases += 1
+                    q = random_polynomial(d, k - 1, ctx.rng)
                     if fe.face_unisolvence(fam, k, i, lams[i] * q) is not True:
-                        return cases, _fmt("vanishing probe rejected at", (d, k, i))
+                        ctx.fail("vanishing probe rejected at", (d, k, i))
                     on_face = fe.nodes_on_hyperplane(fam, k, i)
                     # a dual-basis member of a face node is 1 there: both
                     # sides of the equivalence must come out False
                     if fe.face_unisolvence(fam, k, i, elem.shape(on_face[0])) is not False:
-                        return cases, _fmt("non-vanishing probe accepted at", (d, k, i))
+                        ctx.fail("non-vanishing probe accepted at", (d, k, i))
                     # one for an off-face node vanishes at every face node,
                     # hence on the whole hyperplane: both sides True
                     off = next(a for a in elem.node_index if a not in set(on_face))
                     if fe.face_unisolvence(fam, k, i, elem.shape(off)) is not True:
-                        return cases, _fmt("off-face dual member rejected at", (d, k, i))
+                        ctx.fail("off-face dual member rejected at", (d, k, i))
                     if fe.face_unisolvence(fam, k, i, Polynomial.zero(d)) is not True:
-                        return cases, _fmt("zero polynomial rejected at", (d, k, i))
-    return cases, None
+                        ctx.fail("zero polynomial rejected at", (d, k, i))
 
 
 @_check("1629", "element construction on independent families")
 def _element_construction(ctx):
-    rng = ctx.rng("1629")
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(0, 3):
-            for fam in ctx.families(d, rng, include_reference=False)[:2]:
-                cases += 1
+            for fam in ctx.families(d, include_reference=False)[:2]:
+                ctx.cases += 1
                 elem = fe.build_element(fam, k)
                 if len(elem.shape_functions) != mi.binomial(k + d, d):
-                    return cases, _fmt("basis size wrong at", (d, k))
-        cases += 1
+                    ctx.fail("basis size wrong at", (d, k))
+        ctx.cases += 1
         degenerate = (geo.reference_vertices(d)[0],) * (d + 1)
         try:
             fe.build_element(degenerate, 1)
-            return cases, _fmt("degenerate family accepted at d =", d)
+            ctx.fail("degenerate family accepted at d =", d)
         except DegenerateSimplexError:
             pass
-    return cases, None
 
 
 @_check("1631", "reference element nodes and dual basis")
 def _reference_element(ctx):
-    cases = 0
     for d in ctx.dims():
         for k in ctx.degrees(0, 3):
-            cases += 1
+            ctx.cases += 1
             elem = fe.build_element(geo.reference_vertices(d), k)
             if list(zip(elem.node_index, elem.nodes)) != fe.reference_nodes(d, k):
-                return cases, _fmt("reference nodes differ at", (d, k))
+                ctx.fail("reference nodes differ at", (d, k))
             if _kronecker_ok(elem) is not None:
-                return cases, _fmt("reference dual basis fails at", (d, k))
-    return cases, None
+                ctx.fail("reference dual basis fails at", (d, k))
 
 
 @_check("1630", "dimension-1 elements match the product-formula basis")
 def _element_1d(ctx):
-    rng = ctx.rng("1630")
-    cases = 0
     for k in ctx.degrees():
-        for fam in ctx.families(1, rng):
-            cases += 1
+        for fam in ctx.families(1):
+            ctx.cases += 1
             elem = fe.build_element(fam, k)
             nodes = [pt[0] for pt in elem.nodes]
             want = [lagrange_basis_1d(nodes, i) for i in range(k + 1)]
             if list(elem.shape_functions) != want:
-                return cases, _fmt("product basis mismatch at k =", k)
-    return cases, None
+                ctx.fail("product basis mismatch at k =", k)
 
 
 @_check("1632", "dimension-1 reference element on the unit grid")
 def _reference_element_1d(ctx):
-    cases = 0
     for k in ctx.degrees():
-        cases += 1
+        ctx.cases += 1
         elem = fe.build_element(geo.reference_vertices(1), k)
         nodes = [pt[0] for pt in elem.nodes]
         want = [Fraction(1, 2)] if k == 0 else [Fraction(i, k) for i in range(k + 1)]
         if nodes != want:
-            return cases, _fmt("grid nodes wrong at k =", k)
+            ctx.fail("grid nodes wrong at k =", k)
         basis = [lagrange_basis_1d(nodes, i) for i in range(k + 1)]
         if list(elem.shape_functions) != basis:
-            return cases, _fmt("reference basis mismatch at k =", k)
-    return cases, None
+            ctx.fail("reference basis mismatch at k =", k)
 
 
 # ---------------------------------------------------------------- runner
@@ -1622,13 +1433,17 @@ def run_suite(
         wanted = set(only)
     else:
         wanted = known
-    ctx = _Sweep(d_max, k_max, samples, seed)
     results = []
     for cid, title, fn in _CATALOG:
         if cid not in wanted:
             continue
-        cases, counterexample = fn(ctx)
+        ctx = _Sweep(d_max, k_max, samples, seed, cid)
+        try:
+            fn(ctx)
+            counterexample = None
+        except _CheckFailed as exc:
+            counterexample = str(exc)
         results.append(
-            CheckResult(cid, title, counterexample is None, cases, counterexample)
+            CheckResult(cid, title, counterexample is None, ctx.cases, counterexample)
         )
     return VerifyReport(seed, d_max, k_max, samples, tuple(results))
