@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -18,9 +17,9 @@ import sys
 from . import element as fe
 from . import geometry as geo
 from . import multiindex as mi
-from .errors import DegenerateSimplexError, UnknownCheckError
+from .errors import DegenerateSimplexError
 from .exact import rat_str
-from .polynomial import polynomial_to_json_dict
+from .polynomial import monomial_str
 from .verify import run_suite
 
 SEED_ENV_VAR = "EXACTFEM_SEED"
@@ -74,7 +73,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_vertices(path: str, d: int):
+def _load_vertices(path: str | None, d: int):
+    """The reference simplex when no file is named, else the family in the file."""
+    if path is None:
+        return geo.reference_vertices(d)
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -90,6 +92,10 @@ def _load_vertices(path: str, d: int):
 
 class _ParseError(Exception):
     pass
+
+
+def _label(alpha) -> str:
+    return "(" + ", ".join(str(a) for a in alpha) + ")"
 
 
 def _cmd_indices(args, out) -> int:
@@ -112,51 +118,27 @@ def _cmd_indices(args, out) -> int:
             head += f" zero_index={args.zero_index}"
         out.write(head + f" cardinal={data['cardinal']}\n")
         for alpha in data["indices"]:
-            out.write("(" + ", ".join(str(a) for a in alpha) + ")\n")
+            out.write(_label(alpha) + "\n")
     return 0
 
 
 def _cmd_nodes(args, out) -> int:
-    fam = (
-        geo.reference_vertices(args.dim)
-        if args.vertices is None
-        else _load_vertices(args.vertices, args.dim)
-    )
+    fam = _load_vertices(args.vertices, args.dim)
     nodes = fe.lagrange_nodes(fam, args.degree)
     if args.format == "json":
-        data = {
-            "d": args.dim,
-            "k": args.degree,
-            "vertices": geo.vertex_family_to_json_dict(fam)["vertices"],
-            "nodes": [
-                {"alpha": list(alpha), "point": geo.point_to_json(pt)}
-                for alpha, pt in nodes
-            ],
-        }
+        data = fe.nodes_to_json_dict(fam, args.degree, nodes)
         out.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [f"alpha_{i + 1}" for i in range(args.dim)]
-            + [f"x_{i + 1}" for i in range(args.dim)]
-        )
-        for alpha, pt in nodes:
-            writer.writerow([str(a) for a in alpha] + [rat_str(x) for x in pt])
+        out.write(fe.nodes_to_csv(args.dim, nodes))
     else:
         out.write(f"# nodes d={args.dim} k={args.degree} count={len(nodes)}\n")
         for alpha, pt in nodes:
-            label = "(" + ", ".join(str(a) for a in alpha) + ")"
-            coords = "(" + ", ".join(rat_str(x) for x in pt) + ")"
-            out.write(f"{label} -> {coords}\n")
+            out.write(f"{_label(alpha)} -> {_label(rat_str(x) for x in pt)}\n")
     return 0
 
 
 def _cmd_shape(args, out) -> int:
-    fam = (
-        geo.reference_vertices(args.dim)
-        if args.vertices is None
-        else _load_vertices(args.vertices, args.dim)
-    )
+    fam = _load_vertices(args.vertices, args.dim)
     elem = fe.build_element(fam, args.degree)
     if args.format == "json":
         out.write(json.dumps(fe.element_to_json_dict(elem), indent=2, sort_keys=True) + "\n")
@@ -166,8 +148,7 @@ def _cmd_shape(args, out) -> int:
             f"count={len(elem.shape_functions)}\n"
         )
         for alpha, theta in zip(elem.node_index, elem.shape_functions):
-            label = "(" + ", ".join(str(a) for a in alpha) + ")"
-            out.write(f"{label}: {_render_poly(theta)}\n")
+            out.write(f"{_label(alpha)}: {_render_poly(theta)}\n")
     return 0
 
 
@@ -176,9 +157,7 @@ def _render_poly(p) -> str:
         return "0"
     bits = []
     for exp, coeff in p.sorted_terms():
-        mono = "*".join(
-            f"X{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e
-        )
+        mono = monomial_str(exp)
         if mono:
             bits.append(f"{rat_str(coeff)}*{mono}" if coeff != 1 else mono)
         else:
@@ -247,37 +226,29 @@ def _cmd_orders(args, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "indices": _cmd_indices,
+    "nodes": _cmd_nodes,
+    "shape": _cmd_shape,
+    "verify": _cmd_verify,
+    "orders": _cmd_orders,
+}
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = sys.stdout
     try:
-        if args.command == "indices":
-            return _cmd_indices(args, out)
-        if args.command == "nodes":
-            return _cmd_nodes(args, out)
-        if args.command == "shape":
-            return _cmd_shape(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "orders":
-            return _cmd_orders(args, out)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](args, sys.stdout)
     except DegenerateSimplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (_ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def console_main() -> None:

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import multiindex as mi
-from .errors import DegenerateSimplexError, NotVanishingError, SingularMatrixError
+from .errors import NotVanishingError, SingularMatrixError
 from .exact import Matrix, identity_matrix, mat_det, mat_solve, rat_str
 from .geometry import (
-    AffineMap,
     Point,
     VertexFamily,
     affine_apply,
     affine_inverse,
-    barycentric_polynomials,
     family_dim,
     geometric_mapping,
     hyperface_mapping,
@@ -233,6 +231,17 @@ def hyperface_transport_consistent(vertices: VertexFamily, k: int, i: int) -> bo
     return True
 
 
+def _check_face_polynomial(d: int, k: int, i: int, p: Polynomial) -> None:
+    """Reject a face index outside [0..d] and p outside the degree-k space in d variables."""
+    if not (0 <= i <= d):
+        raise ValueError(f"face index must lie in [0..{d}]")
+    if p.dim != d:
+        raise ValueError("polynomial dimension does not match")
+    deg = p.degree()
+    if deg != NEG_INF and deg > k:
+        raise ValueError("polynomial degree exceeds the stated bound")
+
+
 def factor_on_hyperplane(
     vertices: VertexFamily, k: int, i: int, p: Polynomial
 ) -> Polynomial:
@@ -248,13 +257,7 @@ def factor_on_hyperplane(
     d = family_dim(vertices)
     if k < 1:
         raise ValueError("needs degree k >= 1")
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
-    if p.dim != d:
-        raise ValueError("polynomial dimension does not match")
-    deg = p.degree()
-    if deg != NEG_INF and deg > k:
-        raise ValueError("polynomial degree exceeds the stated bound")
+    _check_face_polynomial(d, k, i, p)
     relabel = permutation_mapping(vertices, mi.cyclic_tuple(d, i))
     pulled = compose_affine(p, relabel)
     if d == 1:
@@ -284,13 +287,7 @@ def face_unisolvence(vertices: VertexFamily, k: int, i: int, p: Polynomial) -> b
     d = family_dim(vertices)
     if d < 2 or k < 1:
         raise ValueError("needs dimension >= 2 and degree >= 1")
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
-    if p.dim != d:
-        raise ValueError("polynomial dimension does not match")
-    deg = p.degree()
-    if deg != NEG_INF and deg > k:
-        raise ValueError("polynomial degree exceeds the stated bound")
+    _check_face_polynomial(d, k, i, p)
     nodes = dict(lagrange_nodes(vertices, k))
     node_side = all(
         p.eval(nodes[alpha]) == 0 for alpha in nodes_on_hyperplane(vertices, k, i)
@@ -356,25 +353,32 @@ def build_element(vertices: VertexFamily, k: int) -> LagrangeElement:
     return LagrangeElement(vertices, k, labels, nodes, vmat, shapes)
 
 
-def element_to_json_dict(elem: LagrangeElement) -> dict:
+def nodes_to_json_dict(vertices: VertexFamily, k: int, labeled) -> dict:
+    """JSON form of the (label, point) node pairs of the degree-k element."""
     return {
-        "d": elem.dim,
-        "k": elem.degree,
-        "vertices": vertex_family_to_json_dict(elem.vertices)["vertices"],
-        "nodes": [
-            {"alpha": list(alpha), "point": point_to_json(pt)}
-            for alpha, pt in zip(elem.node_index, elem.nodes)
-        ],
-        "shape_functions": [polynomial_to_json_dict(s) for s in elem.shape_functions],
+        "d": family_dim(vertices),
+        "k": k,
+        "vertices": vertex_family_to_json_dict(vertices)["vertices"],
+        "nodes": [{"alpha": list(alpha), "point": point_to_json(pt)} for alpha, pt in labeled],
     }
+
+
+def nodes_to_csv(d: int, labeled) -> str:
+    """Node table with columns alpha_1..alpha_d, x_1..x_d (rational strings)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"alpha_{i + 1}" for i in range(d)] + [f"x_{i + 1}" for i in range(d)])
+    for alpha, pt in labeled:
+        writer.writerow([str(a) for a in alpha] + [rat_str(x) for x in pt])
+    return buf.getvalue()
+
+
+def element_to_json_dict(elem: LagrangeElement) -> dict:
+    data = nodes_to_json_dict(elem.vertices, elem.degree, zip(elem.node_index, elem.nodes))
+    data["shape_functions"] = [polynomial_to_json_dict(s) for s in elem.shape_functions]
+    return data
 
 
 def element_nodes_csv(elem: LagrangeElement) -> str:
     """Node table with columns alpha_1..alpha_d, x_1..x_d (rational strings)."""
-    d = elem.dim
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"alpha_{i + 1}" for i in range(d)] + [f"x_{i + 1}" for i in range(d)])
-    for alpha, pt in zip(elem.node_index, elem.nodes):
-        writer.writerow([str(a) for a in alpha] + [rat_str(x) for x in pt])
-    return buf.getvalue()
+    return nodes_to_csv(elem.dim, zip(elem.node_index, elem.nodes))

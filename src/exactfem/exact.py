@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
+from .errors import SingularMatrixError
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -103,8 +104,6 @@ def mat_solve(a, b) -> Matrix:
     this package that signals a degenerate simplex or a non-unisolvent node
     configuration.
     """
-    from .errors import SingularMatrixError
-
     a = matrix(a)
     b = matrix(b)
     n = len(a)

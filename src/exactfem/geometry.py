@@ -15,7 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSimplexError, SingularMatrixError
-from .exact import Matrix, identity_matrix, mat_rank, mat_solve, mat_vec, matrix, rat_parse, rat_str
+from .exact import (
+    Matrix,
+    identity_matrix,
+    mat_mul,
+    mat_rank,
+    mat_solve,
+    mat_vec,
+    matrix,
+    rat_parse,
+    rat_str,
+)
+from .multiindex import jump_tuple
 from .polynomial import Polynomial, compose_affine
 
 Point = tuple[Fraction, ...]
@@ -86,8 +97,6 @@ def affine_compose(g: AffineMap, f: AffineMap) -> AffineMap:
     """The map x -> g(f(x))."""
     if g.domain_dim != f.codomain_dim:
         raise ValueError("composition dimensions do not match")
-    from .exact import mat_mul
-
     return AffineMap(
         mat_mul(g.matrix, f.matrix),
         tuple(t + s for t, s in zip(g.translation, mat_vec(g.matrix, f.translation))),
@@ -241,8 +250,6 @@ def face_mapping(vertices: VertexFamily, selector) -> AffineMap:
 
 def hyperface_mapping(vertices: VertexFamily, i: int) -> AffineMap:
     """Map of the reference (d-1)-simplex onto the hyperface opposite v_i."""
-    from .multiindex import jump_tuple
-
     vertices = vertex_family(vertices)
     d = family_dim(vertices)
     if d < 2:

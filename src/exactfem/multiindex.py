@@ -165,28 +165,6 @@ def _exact_layer(d: int, k: int) -> Iterator[MultiIndex]:
             yield (first,) + rest
 
 
-def members(d: int, k: int, kind: str = "A", zero_index: int | None = None) -> list[MultiIndex]:
-    """Unordered members of the requested index set."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if k < 0:
-        raise ValueError("degree must be a natural")
-    if kind == "A":
-        return [a for l in range(k + 1) for a in _exact_layer(d, l)]
-    if kind == "C":
-        return list(_exact_layer(d, k))
-    if kind == "Azero":
-        if zero_index is None or not (1 <= zero_index <= d):
-            raise ValueError("Azero requires a zero_index in [1..d]")
-        return [
-            a
-            for l in range(k + 1)
-            for a in _exact_layer(d, l)
-            if a[zero_index - 1] == 0
-        ]
-    raise ValueError(f"unknown index-set kind {kind!r}")
-
-
 def enumerate_indices(
     d: int,
     k: int,
@@ -196,8 +174,8 @@ def enumerate_indices(
 ) -> list[MultiIndex]:
     """The index set, strictly increasing under the requested order.
 
-    Graded orders are produced layer by layer (length 0, 1, ..., k), each
-    layer sorted by the base order; ungraded orders sort globally.
+    The members are gathered layer by layer (length 0, 1, ..., k) and sorted
+    once; a graded order's key compares lengths first.
     """
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
@@ -209,17 +187,14 @@ def enumerate_indices(
         raise ValueError(f"unknown index-set kind {kind!r}")
     if kind == "Azero" and (zero_index is None or not (1 <= zero_index <= d)):
         raise ValueError("Azero requires a zero_index in [1..d]")
-    key = sort_key(order)
-    if order in GRADED_ORDERS:
-        out: list[MultiIndex] = []
-        layers = (k,) if kind == "C" else range(k + 1)
-        for l in layers:
-            layer = list(_exact_layer(d, l))
-            if kind == "Azero":
-                layer = [a for a in layer if a[zero_index - 1] == 0]
-            out.extend(sorted(layer, key=key))
-        return out
-    return sorted(members(d, k, kind, zero_index), key=key)
+    layers = (k,) if kind == "C" else range(k + 1)
+    found = [
+        a
+        for l in layers
+        for a in _exact_layer(d, l)
+        if kind != "Azero" or a[zero_index - 1] == 0
+    ]
+    return sorted(found, key=sort_key(order))
 
 
 def cardinal(d: int, k: int, kind: str = "A", zero_index: int | None = None) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import multiindex as mi
-from .exact import Matrix, rat_str
+from .exact import Matrix, rat_parse, rat_str
 
 NEG_INF = float("-inf")
 
@@ -177,13 +177,14 @@ class Polynomial:
             return f"Polynomial({self.dim}, 0)"
         bits = []
         for exp, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"X{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
+            mono = monomial_str(exp)
             bits.append(f"{rat_str(coeff)}" + (f"*{mono}" if mono else ""))
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
+
+
+def monomial_str(exp) -> str:
+    """Render an exponent tuple as "X1^2*X3"; the constant monomial is ""."""
+    return "*".join(f"X{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
 
 
 def partial_derivative(p: Polynomial, beta) -> Polynomial:
@@ -212,15 +213,6 @@ def partial_derivative(p: Polynomial, beta) -> Polynomial:
 def embed_last(p: Polynomial) -> Polynomial:
     """View a d-variable polynomial in d+1 variables (last exponent 0)."""
     return Polynomial(p.dim + 1, {exp + (0,): c for exp, c in p.terms.items()})
-
-
-def strip_last(p: Polynomial) -> Polynomial:
-    """Inverse of embed_last; requires every term to have last exponent 0."""
-    if p.dim < 2:
-        raise ValueError("cannot strip below dimension 1")
-    if any(exp[-1] != 0 for exp in p.terms):
-        raise ValueError("polynomial depends on the last variable")
-    return Polynomial(p.dim - 1, {exp[:-1]: c for exp, c in p.terms.items()})
 
 
 def divide_by_last_variable(p: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -343,8 +335,6 @@ def polynomial_to_json_dict(p: Polynomial) -> dict:
 
 
 def polynomial_from_json_dict(data: dict) -> Polynomial:
-    from .exact import rat_parse
-
     return Polynomial(
         int(data["dim"]),
         {tuple(t["exp"]): rat_parse(t["coeff"]) for t in data["terms"]},

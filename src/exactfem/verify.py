@@ -34,12 +34,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NoReturn
 
 from . import element as fe
 from . import geometry as geo
 from . import multiindex as mi
 from .errors import DegenerateSimplexError, NotVanishingError, UnknownCheckError
-from .exact import mat_det, mat_mul, mat_rank, rat_str
+from .exact import mat_det, mat_rank
 from .polynomial import (
     NEG_INF,
     Polynomial,
@@ -169,7 +170,7 @@ class VerifyReport:
 
 
 class _CheckFailed(Exception):
-    """Raised by ``_Sweep.fail``; deliberately not a ValueError."""
+    """Raised by ``_Sweep.fail``; not a ValueError, so no check's except arm catches it."""
 
 
 class _Sweep:
@@ -182,7 +183,7 @@ class _Sweep:
         self.rng = random.Random(f"{seed}/{check_id}")
         self.cases = 0
 
-    def fail(self, *parts) -> None:
+    def fail(self, *parts) -> NoReturn:
         raise _CheckFailed(" ".join(str(p) for p in parts))
 
     def dims(self, lo: int = 1, hi: int | None = None):
