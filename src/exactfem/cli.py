@@ -123,7 +123,7 @@ def _cmd_indices(args, out) -> int:
 
 
 def _cmd_nodes(args, out) -> int:
-    fam = _load_vertices(args.vertices, args.dim)
+    fam = geo.require_independent(_load_vertices(args.vertices, args.dim))
     nodes = fe.lagrange_nodes(fam, args.degree)
     if args.format == "json":
         data = fe.nodes_to_json_dict(fam, args.degree, nodes)

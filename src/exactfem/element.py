@@ -6,11 +6,13 @@ consists of:
 * nodes, one per multi-index of length at most k (grsymlex order): the
   isobarycenter for k = 0, else v_0 + sum_i (alpha_i / k)(v_i - v_0);
 * point-evaluation linear forms at those nodes;
-* shape functions, the polynomial basis dual to the evaluations, obtained
-  from one exact linear solve against the identity.
+* shape functions, the polynomial basis dual to the evaluations, built in
+  closed form as products of shifted barycentric coordinates.
 
 Unisolvence (nonsingularity of the node-vs-monomial matrix) always holds on
 affinely independent vertices; ``is_unisolvent`` is the executable witness.
+Solving that matrix against the identity gives the same basis; the tests use
+the solve as an independent oracle for the closed form.
 The node/matrix flattening uses grsymlex for rows and columns alike.
 """
 
@@ -20,10 +22,11 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import multiindex as mi
-from .errors import NotVanishingError, SingularMatrixError
-from .exact import Matrix, identity_matrix, mat_det, mat_solve, rat_str
+from .errors import NotVanishingError
+from .exact import Matrix, mat_det, rat_str
 from .geometry import (
     Point,
     VertexFamily,
@@ -174,8 +177,10 @@ def is_unisolvent(vertices: VertexFamily, k: int) -> bool:
 def shape_functions(vertices: VertexFamily, k: int) -> list[Polynomial]:
     """The polynomial basis dual to point evaluation at the nodes.
 
-    Solving V C = I exactly gives theta_beta = sum_gamma C[gamma][beta]
-    X^gamma with theta_beta(a_alpha) = delta_{alpha beta}.
+    theta_beta(a_alpha) = delta_{alpha beta}, built in closed form from the
+    barycentric coordinates (see build_element).  The columns of the solution
+    C of V C = I give the same basis as theta_beta = sum_gamma C[gamma][beta]
+    X^gamma.
     """
     return build_element(vertices, k).shape_functions
 
@@ -303,18 +308,22 @@ def face_unisolvence(vertices: VertexFamily, k: int, i: int, p: Polynomial) -> b
 
 @dataclass(frozen=True)
 class LagrangeElement:
-    """Immutable bundle: simplex, degree, nodes, node matrix, shape basis."""
+    """Immutable bundle: simplex, degree, nodes, shape basis; the node matrix on demand."""
 
     vertices: VertexFamily
     degree: int
     node_index: tuple[mi.MultiIndex, ...]
     nodes: tuple[Point, ...]
-    vandermonde: Matrix
     shape_functions: tuple[Polynomial, ...]
 
     @property
     def dim(self) -> int:
         return family_dim(self.vertices)
+
+    @cached_property
+    def vandermonde(self) -> Matrix:
+        """The node-vs-monomial matrix, assembled on first access."""
+        return vandermonde_matrix(self.vertices, self.degree)
 
     def node(self, alpha) -> Point:
         return self.nodes[self.node_index.index(tuple(alpha))]
@@ -327,30 +336,59 @@ def build_element(vertices: VertexFamily, k: int) -> LagrangeElement:
     """Construct the degree-k element on the given simplex.
 
     Validates affine independence (DegenerateSimplexError otherwise), then
-    assembles nodes, the node-vs-monomial matrix and the shape functions.
-    A singular matrix on independent vertices cannot happen; if the solve
-    ever reports one, that is an internal inconsistency, not a domain error.
+    assembles the nodes and the shape functions, each a product of at most
+    d+1 tabulated factors in the barycentric coordinates (_closed_form_basis);
+    degree 0 gives the constant 1.  The only linear solve is the d x d
+    inverse of the geometric map.
     """
     vertices = require_independent(vertices)
-    d = family_dim(vertices)
     if k < 0:
         raise ValueError("degree must be a natural")
     labeled = lagrange_nodes(vertices, k)
     labels = tuple(alpha for alpha, _ in labeled)
     nodes = tuple(pt for _, pt in labeled)
-    vmat = vandermonde_matrix(vertices, k)
-    try:
-        coeffs = mat_solve(vmat, identity_matrix(len(labels)))
-    except SingularMatrixError as exc:  # unreachable on independent vertices
-        raise AssertionError(
-            "node matrix is singular on an affinely independent family; "
-            "this is an internal inconsistency"
-        ) from exc
-    shapes = tuple(
-        Polynomial(d, {labels[g]: coeffs[g][b] for g in range(len(labels))})
-        for b in range(len(labels))
-    )
-    return LagrangeElement(vertices, k, labels, nodes, vmat, shapes)
+    return LagrangeElement(vertices, k, labels, nodes, _closed_form_basis(vertices, k, labels))
+
+
+def _closed_form_basis(
+    vertices: VertexFamily, k: int, labels: tuple[mi.MultiIndex, ...]
+) -> tuple[Polynomial, ...]:
+    """theta_alpha = prod_{i=0..d} prod_{j<a_i} (k lambda_i - j)/(j+1), a_0 = k - |alpha|.
+
+    At the node labeled beta, k lambda_i takes the value b_i (b_0 = k - |beta|).
+    The factor of vertex i is 1 where k lambda_i = a_i and 0 where it is one
+    of 0..a_i-1; a node beta != alpha has b_i < a_i for some i, so theta_alpha
+    is dual to the nodes (Silvester 1969; Nicolaides 1972).  The lambda_i are
+    read off the inverse geometric map: coordinate i for i >= 1, and
+    lambda_0 = 1 - sum.
+    """
+    d = family_dim(vertices)
+    one = Polynomial.constant(d, 1)
+    if k == 0:
+        return (one,)
+    inv = affine_inverse(geometric_mapping(vertices))
+    units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    lams = [
+        Polynomial(d, {(0,) * d: shift, **dict(zip(units, row))})
+        for row, shift in zip(inv.matrix, inv.translation)
+    ]
+    lams.insert(0, one - sum(lams, Polynomial.zero(d)))
+    # table[i][a] = prod_{j<a} (k lambda_i - j)/(j+1), the factor of vertex i.
+    table = []
+    for lam in lams:
+        scaled = lam.scale(k)
+        row = [one]
+        for j in range(k):
+            row.append((row[-1] * (scaled - j)).scale(Fraction(1, j + 1)))
+        table.append(row)
+    shapes = []
+    for alpha in labels:
+        theta = table[0][k - mi.length(alpha)]
+        for i, a in enumerate(alpha, 1):
+            if a:
+                theta = theta * table[i][a]
+        shapes.append(theta)
+    return tuple(shapes)
 
 
 def nodes_to_json_dict(vertices: VertexFamily, k: int, labeled) -> dict:

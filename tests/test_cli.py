@@ -129,6 +129,21 @@ def test_shape_degenerate_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_nodes_degenerate_exit_code(tmp_path, capsys, fmt):
+    # (0, 1) and (2, 0) would both land on (1, 1): refuse the family instead
+    vfile = tmp_path / "line.json"
+    vfile.write_text(
+        json.dumps({"d": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]})
+    )
+    code, out = run_cli(
+        "nodes", "--dim", "2", "--degree", "2", "--vertices", str(vfile), "--format", fmt
+    )
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_small_run():
     code, out = run_cli(
         "verify", "--dmax", "2", "--kmax", "3", "--seed", "7",

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exactfem import element as fe
 from exactfem.errors import DegenerateSimplexError, NotVanishingError
+from exactfem.exact import identity_matrix, mat_solve
 from exactfem.geometry import (
     barycentric_polynomials,
+    is_affinely_independent,
     isobarycenter,
     reference_vertices,
     vertex_family,
@@ -131,6 +135,44 @@ def test_shape_functions_special_cases():
     for theta in fe.shape_functions(fam, 2):
         total = total + theta
     assert total == Polynomial.constant(2, 1)
+
+
+def solved_basis(fam, k):
+    """The dual basis from the node matrix: columns of V^-1 over the grsymlex labels."""
+    d = len(fam) - 1
+    labels = fe.node_labels(d, k)
+    coeffs = mat_solve(fe.vandermonde_matrix(fam, k), identity_matrix(len(labels)))
+    return [
+        Polynomial(d, {g: coeffs[r][b] for r, g in enumerate(labels)})
+        for b in range(len(labels))
+    ]
+
+
+ORACLE_CELLS = [(d, k) for d in (1, 2, 3) for k in range(5)] + [(4, 2)]
+
+
+@pytest.mark.parametrize("d,k", ORACLE_CELLS)
+def test_closed_form_matches_solve(d, k):
+    rng = random.Random(f"oracle/{d}/{k}")
+    for fam in (reference_vertices(d), random_independent_family(d, rng)):
+        elem = fe.build_element(fam, k)
+        assert list(elem.shape_functions) == solved_basis(fam, k)
+        assert elem.vandermonde == fe.vandermonde_matrix(fam, k)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_closed_form_matches_solve_property(data):
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, 3))
+    fam = tuple(
+        tuple(data.draw(small_rationals) for _ in range(d)) for _ in range(d + 1)
+    )
+    assume(is_affinely_independent(fam))
+    assert list(fe.build_element(fam, k).shape_functions) == solved_basis(fam, k)
 
 
 def test_linear_form():
