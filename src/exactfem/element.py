@@ -32,6 +32,8 @@ from .geometry import (
     VertexFamily,
     affine_apply,
     affine_inverse,
+    barycentric_polynomials,
+    check_face_index,
     family_dim,
     geometric_mapping,
     hyperface_mapping,
@@ -208,8 +210,7 @@ def nodes_on_hyperplane(vertices: VertexFamily, k: int, i: int) -> list[mi.Multi
     d = family_dim(vertices)
     if k < 1:
         raise ValueError("needs degree k >= 1")
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
+    check_face_index(d, i)
     if i == 0:
         return [a for a in node_labels(d, k) if mi.length(a) == k]
     return [a for a in node_labels(d, k) if a[i - 1] == 0]
@@ -225,8 +226,7 @@ def hyperface_transport_consistent(vertices: VertexFamily, k: int, i: int) -> bo
     d = family_dim(vertices)
     if d < 2 or k < 1:
         raise ValueError("needs dimension >= 2 and degree >= 1")
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
+    check_face_index(d, i)
     face = hyperface_mapping(vertices, i)
     nodes = dict(lagrange_nodes(vertices, k))
     for alpha, ref_pt in reference_nodes(d - 1, k):
@@ -238,8 +238,7 @@ def hyperface_transport_consistent(vertices: VertexFamily, k: int, i: int) -> bo
 
 def _check_face_polynomial(d: int, k: int, i: int, p: Polynomial) -> None:
     """Reject a face index outside [0..d] and p outside the degree-k space in d variables."""
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
+    check_face_index(d, i)
     if p.dim != d:
         raise ValueError("polynomial dimension does not match")
     deg = p.degree()
@@ -342,8 +341,6 @@ def build_element(vertices: VertexFamily, k: int) -> LagrangeElement:
     inverse of the geometric map.
     """
     vertices = require_independent(vertices)
-    if k < 0:
-        raise ValueError("degree must be a natural")
     labeled = lagrange_nodes(vertices, k)
     labels = tuple(alpha for alpha, _ in labeled)
     nodes = tuple(pt for _, pt in labeled)
@@ -358,24 +355,16 @@ def _closed_form_basis(
     At the node labeled beta, k lambda_i takes the value b_i (b_0 = k - |beta|).
     The factor of vertex i is 1 where k lambda_i = a_i and 0 where it is one
     of 0..a_i-1; a node beta != alpha has b_i < a_i for some i, so theta_alpha
-    is dual to the nodes (Silvester 1969; Nicolaides 1972).  The lambda_i are
-    read off the inverse geometric map: coordinate i for i >= 1, and
-    lambda_0 = 1 - sum.
+    is dual to the nodes (Silvester 1969; Nicolaides 1972).  The lambda_i come
+    from geometry.barycentric_polynomials.
     """
     d = family_dim(vertices)
     one = Polynomial.constant(d, 1)
     if k == 0:
         return (one,)
-    inv = affine_inverse(geometric_mapping(vertices))
-    units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    lams = [
-        Polynomial(d, {(0,) * d: shift, **dict(zip(units, row))})
-        for row, shift in zip(inv.matrix, inv.translation)
-    ]
-    lams.insert(0, one - sum(lams, Polynomial.zero(d)))
     # table[i][a] = prod_{j<a} (k lambda_i - j)/(j+1), the factor of vertex i.
     table = []
-    for lam in lams:
+    for lam in barycentric_polynomials(vertices):
         scaled = lam.scale(k)
         row = [one]
         for j in range(k):

@@ -4,14 +4,15 @@ Scalars are ``fractions.Fraction`` throughout: arbitrary precision, always in
 canonical reduced form (positive denominator, gcd 1, zero as 0/1), so every
 identity in this package is checked with ``==`` and zero tolerance.
 
-Matrices are plain tuples of row tuples of Fraction.  Determinants use
-fraction-free (Bareiss) elimination to bound intermediate growth; solving uses
-ordinary rational Gaussian elimination, which is exact as well.
+Matrices are plain tuples of row tuples of Fraction.  One rational Gaussian
+elimination (_eliminate) lies behind the determinant, the rank and the solve;
+over Fractions every step is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import SingularMatrixError
 
@@ -66,8 +67,41 @@ def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
+def _eliminate(m: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
+    """Row-reduce m in place to row echelon form over its first ncols columns.
+
+    Each pivot is the first nonzero entry at or below the current row; the
+    rows beneath it are cleared over their whole width, so columns past ncols
+    (a right-hand side) are carried along.  Returns the pivot columns, one per
+    pivot row in order, and the sign of the row permutation applied.
+    """
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot_row = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            m[row], m[pivot_row] = m[pivot_row], m[row]
+            sign = -sign
+        pivot = m[row]
+        for r in range(row + 1, len(m)):
+            factor = m[r][col]
+            if factor == 0:
+                continue
+            ratio = factor / pivot[col]
+            target = m[r]
+            for c in range(col, len(pivot)):
+                target[c] -= ratio * pivot[c]
+        pivots.append(col)
+    return pivots, sign
+
+
 def mat_det(a) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant: the signed product of the pivots of _eliminate.
 
     Pivoting picks the first nonzero entry in column order; magnitudes are
     irrelevant in exact arithmetic.
@@ -76,29 +110,15 @@ def mat_det(a) -> Fraction:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
     m = [list(row) for row in a]
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) / prev
-            m[r][col] = Fraction(0)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    pivots, sign = _eliminate(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((m[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def mat_solve(a, b) -> Matrix:
-    """Exact X with A X = B, by rational Gaussian elimination.
+    """Exact X with A X = B: _eliminate on [A | B], then back substitution.
 
     Raises SingularMatrixError when A is singular; for the matrices built by
     this package that signals a degenerate simplex or a non-unisolvent node
@@ -115,20 +135,9 @@ def mat_solve(a, b) -> Matrix:
         return ()
     width = len(b[0])
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col]
-            if factor == 0:
-                continue
-            ratio = factor / pivot
-            for c in range(col, n + width):
-                aug[r][c] -= ratio * aug[col][c]
+    pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
     x = [[Fraction(0)] * width for _ in range(n)]
     for row in range(n - 1, -1, -1):
         for j in range(width):
@@ -140,26 +149,8 @@ def mat_solve(a, b) -> Matrix:
 
 
 def mat_rank(a) -> int:
-    """Exact rank by row echelon reduction (works on rectangular matrices)."""
+    """Exact rank: the number of pivots of _eliminate (rectangular matrices too)."""
     a = matrix(a)
     if not a:
         return 0
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, rows):
-            if m[r][col] == 0:
-                continue
-            ratio = m[r][col] / pivot
-            for c in range(col, cols):
-                m[r][c] -= ratio * m[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_eliminate([list(row) for row in a], len(a[0]))[0])

@@ -27,14 +27,18 @@ from .exact import (
     rat_str,
 )
 from .multiindex import jump_tuple
-from .polynomial import Polynomial, compose_affine
+from .polynomial import Polynomial
 
 Point = tuple[Fraction, ...]
 VertexFamily = tuple[Point, ...]
 
 
 def point(coords) -> Point:
-    pt = tuple(Fraction(x) for x in coords)
+    """Exact coordinates from ints, Fractions or rational strings; no floats or bools."""
+    coords = tuple(coords)
+    if any(isinstance(x, (float, bool)) for x in coords):
+        raise ValueError("coordinates must be exact (int, Fraction or rational string)")
+    pt = tuple(map(Fraction, coords))
     if not pt:
         raise ValueError("points must have dimension at least 1")
     return pt
@@ -194,11 +198,27 @@ def geometric_mapping(vertices: VertexFamily) -> AffineMap:
 
 
 def barycentric_polynomials(vertices: VertexFamily) -> list[Polynomial]:
-    """The d+1 affine polynomials with lambda_i(v_j) = delta_ij, sum = 1."""
+    """The d+1 affine polynomials with lambda_i(v_j) = delta_ij, sum = 1.
+
+    lambda_i for i >= 1 is coordinate i of the inverse geometric map, read off
+    its matrix row and translation; lambda_0 = 1 - sum.
+    """
     vertices = require_independent(vertices)
     d = family_dim(vertices)
     inv = affine_inverse(geometric_mapping(vertices))
-    return [compose_affine(reference_barycentric(d, i), inv) for i in range(d + 1)]
+    units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    lams = [
+        Polynomial(d, {(0,) * d: shift, **dict(zip(units, row))})
+        for row, shift in zip(inv.matrix, inv.translation)
+    ]
+    lams.insert(0, Polynomial.constant(d, 1) - sum(lams, Polynomial.zero(d)))
+    return lams
+
+
+def check_face_index(d: int, i: int) -> None:
+    """Reject a face (opposite-vertex) index outside [0..d]."""
+    if not (0 <= i <= d):
+        raise ValueError(f"face index must lie in [0..{d}]")
 
 
 def in_reference_simplex(x) -> bool:
@@ -209,18 +229,16 @@ def in_reference_simplex(x) -> bool:
 
 def in_simplex(vertices: VertexFamily, x) -> bool:
     """Closed membership in the convex envelope, via barycentric signs."""
-    vertices = require_independent(vertices)
+    lams = barycentric_polynomials(vertices)
     x = point(x)
-    return all(lam.eval(x) >= 0 for lam in barycentric_polynomials(vertices))
+    return all(lam.eval(x) >= 0 for lam in lams)
 
 
 def face_hyperplane_contains(vertices: VertexFamily, i: int, x) -> bool:
     """Whether x lies on the hyperplane spanned by all vertices except v_i."""
-    vertices = require_independent(vertices)
-    d = family_dim(vertices)
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
-    return barycentric_polynomials(vertices)[i].eval(x) == 0
+    lams = barycentric_polynomials(vertices)
+    check_face_index(len(lams) - 1, i)
+    return lams[i].eval(x) == 0
 
 
 def face_mapping(vertices: VertexFamily, selector) -> AffineMap:
@@ -254,8 +272,7 @@ def hyperface_mapping(vertices: VertexFamily, i: int) -> AffineMap:
     d = family_dim(vertices)
     if d < 2:
         raise ValueError("hyperface mappings need dimension >= 2")
-    if not (0 <= i <= d):
-        raise ValueError(f"face index must lie in [0..{d}]")
+    check_face_index(d, i)
     return face_mapping(vertices, jump_tuple(d - 1, i))
 
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -119,3 +121,72 @@ def test_full_rank_iff_nonzero_det(data):
 def test_non_square_det_rejected():
     with pytest.raises(ValueError):
         mat_det([[1, 2, 3], [4, 5, 6]])
+
+
+# Independent references: the determinant, rank and solve share one
+# elimination, so "full rank iff det != 0" alone would only check it against
+# itself.
+
+
+def leibniz_det(a):
+    """Sum over permutations of the signed products; no elimination involved."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= a[row][col]
+        total += term
+    return total
+
+
+def minor_rank(a):
+    """Size of the largest square submatrix with a nonzero Leibniz determinant."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    for r in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), r):
+            for cs in combinations(range(cols), r):
+                if leibniz_det([[a[i][j] for j in cs] for i in rs]) != 0:
+                    return r
+    return 0
+
+
+def random_matrix(rng, rows, cols):
+    """Small rationals with many zeros; often one row is a combination of others."""
+    a = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows >= 2 and rng.random() < 0.4:
+        i, j, l = (rng.randrange(rows) for _ in range(3))
+        s, t = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[l])]
+    return a
+
+
+def test_det_matches_leibniz_sum():
+    rng = random.Random(41)
+    singular = regular = 0
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        a = random_matrix(rng, n, n)
+        want = leibniz_det(a)
+        assert mat_det(a) == want
+        singular += want == 0
+        regular += want != 0
+    assert singular >= 30 and regular >= 30
+
+
+def test_rank_matches_largest_nonzero_minor():
+    rng = random.Random(43)
+    ranks = set()
+    for _ in range(300):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+        a = random_matrix(rng, rows, cols)
+        want = minor_rank(a)
+        assert mat_rank(a) == want
+        ranks.add((want == min(rows, cols), rows == cols))
+    # deficient and full rank, square and rectangular all occur
+    assert ranks == {(False, False), (False, True), (True, False), (True, True)}

@@ -22,6 +22,7 @@ from exactfem.geometry import (
     is_affinely_independent,
     isobarycenter,
     permutation_mapping,
+    point,
     reference_barycentric,
     reference_vertices,
     vertex_family,
@@ -153,6 +154,36 @@ def test_barycentric_polynomials():
     assert total == Polynomial.constant(3, 1)
     with pytest.raises(DegenerateSimplexError):
         barycentric_polynomials(vertex_family([(0, 0), (1, 1), (2, 2)]))
+
+
+def test_barycentric_matches_composed_reference():
+    # Oracle: the reference barycentric polynomials pulled back through the
+    # inverse geometric map by compose_affine, a construction independent of
+    # reading the coordinates off the inverse.
+    rng = random.Random(29)
+    for d in (1, 2, 3, 4):
+        families = [reference_vertices(d)] + [random_independent_family(d, rng) for _ in range(3)]
+        for fam in families:
+            inv = affine_inverse(geometric_mapping(fam))
+            want = [compose_affine(reference_barycentric(d, i), inv) for i in range(d + 1)]
+            assert barycentric_polynomials(fam) == want
+
+
+def test_inexact_coordinates_rejected():
+    for bad in ((0.1, 0), (True, 0), (0, False), (Fraction(1, 2), 1.0)):
+        with pytest.raises(ValueError):
+            point(bad)
+    with pytest.raises(ValueError):
+        vertex_family([(0, 0), (0.5, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        vertex_family([(0, 0), (1, 0), (0, True)])
+    for bad in ((0.1, 0), (0, True)):
+        with pytest.raises(ValueError):
+            AffineMap([[1, 0], [0, 1]], bad)
+    assert point((1, Fraction(-2, 3), "3/4", " 0.1 ")) == (
+        Fraction(1), Fraction(-2, 3), Fraction(3, 4), Fraction(1, 10)
+    )
+    assert AffineMap([[1]], ("1/2",)).translation == (Fraction(1, 2),)
 
 
 def test_barycentric_equals_inverse_coordinates():
