@@ -334,21 +334,23 @@ class LagrangeElement:
 def build_element(vertices: VertexFamily, k: int) -> LagrangeElement:
     """Construct the degree-k element on the given simplex.
 
-    Validates affine independence (DegenerateSimplexError otherwise), then
-    assembles the nodes and the shape functions, each a product of at most
+    Affine independence is checked once, by barycentric_polynomials, before
+    the degree (DegenerateSimplexError, also at k = 0 and k < 0).  Then the
+    nodes and the shape functions are assembled, each a product of at most
     d+1 tabulated factors in the barycentric coordinates (_closed_form_basis);
     degree 0 gives the constant 1.  The only linear solve is the d x d
     inverse of the geometric map.
     """
-    vertices = require_independent(vertices)
+    lams = barycentric_polynomials(vertices)
+    vertices = vertex_family(vertices)
     labeled = lagrange_nodes(vertices, k)
     labels = tuple(alpha for alpha, _ in labeled)
     nodes = tuple(pt for _, pt in labeled)
-    return LagrangeElement(vertices, k, labels, nodes, _closed_form_basis(vertices, k, labels))
+    return LagrangeElement(vertices, k, labels, nodes, _closed_form_basis(lams, k, labels))
 
 
 def _closed_form_basis(
-    vertices: VertexFamily, k: int, labels: tuple[mi.MultiIndex, ...]
+    lams: list[Polynomial], k: int, labels: tuple[mi.MultiIndex, ...]
 ) -> tuple[Polynomial, ...]:
     """theta_alpha = prod_{i=0..d} prod_{j<a_i} (k lambda_i - j)/(j+1), a_0 = k - |alpha|.
 
@@ -358,13 +360,12 @@ def _closed_form_basis(
     is dual to the nodes (Silvester 1969; Nicolaides 1972).  The lambda_i come
     from geometry.barycentric_polynomials.
     """
-    d = family_dim(vertices)
-    one = Polynomial.constant(d, 1)
+    one = Polynomial.constant(lams[0].dim, 1)
     if k == 0:
         return (one,)
     # table[i][a] = prod_{j<a} (k lambda_i - j)/(j+1), the factor of vertex i.
     table = []
-    for lam in barycentric_polynomials(vertices):
+    for lam in lams:
         scaled = lam.scale(k)
         row = [one]
         for j in range(k):

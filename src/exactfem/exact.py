@@ -37,9 +37,21 @@ def rat_parse(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def rationals(values, what: str) -> tuple[Fraction, ...]:
+    """Exact Fractions from ints, Fractions or rational strings.
+
+    A float or bool raises ValueError naming what the values are, instead of
+    becoming a binary fraction (0.1 is not 1/10) or the integer 0 or 1.
+    """
+    values = tuple(values)
+    if any(isinstance(x, (float, bool)) for x in values):
+        raise ValueError(f"{what} must be exact (int, Fraction or rational string)")
+    return tuple(map(Fraction, values))
+
+
 def matrix(rows) -> Matrix:
-    """Normalize nested sequences of ints/Fractions to a rectangular Matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Normalize nested sequences of ints/Fractions/rational strings to a rectangular Matrix."""
+    out = tuple(rationals(row, "matrix entries") for row in rows)
     if out:
         width = len(out[0])
         if any(len(row) != width for row in out):

@@ -25,6 +25,7 @@ from .exact import (
     matrix,
     rat_parse,
     rat_str,
+    rationals,
 )
 from .multiindex import jump_tuple
 from .polynomial import Polynomial
@@ -35,10 +36,7 @@ VertexFamily = tuple[Point, ...]
 
 def point(coords) -> Point:
     """Exact coordinates from ints, Fractions or rational strings; no floats or bools."""
-    coords = tuple(coords)
-    if any(isinstance(x, (float, bool)) for x in coords):
-        raise ValueError("coordinates must be exact (int, Fraction or rational string)")
-    pt = tuple(map(Fraction, coords))
+    pt = rationals(coords, "coordinates")
     if not pt:
         raise ValueError("points must have dimension at least 1")
     return pt
@@ -137,23 +135,28 @@ def reference_vertices(d: int) -> VertexFamily:
 
 def difference_matrix(vertices: VertexFamily) -> Matrix:
     """Columns v_i - v_0 for i = 1..d (the linear part of the geometric map)."""
-    vertices = vertex_family(vertices)
-    d = family_dim(vertices)
-    v0 = vertices[0]
-    return tuple(
-        tuple(vertices[j + 1][row] - v0[row] for j in range(d)) for row in range(d)
-    )
+    return _differences(vertex_family(vertices))
+
+
+def _differences(fam: VertexFamily) -> Matrix:
+    """difference_matrix of a family already normalized by vertex_family."""
+    d = family_dim(fam)
+    v0 = fam[0]
+    return tuple(tuple(fam[j + 1][row] - v0[row] for j in range(d)) for row in range(d))
+
+
+def _independent(fam: VertexFamily) -> bool:
+    """Full rank of the differences of a family already normalized by vertex_family."""
+    return mat_rank(_differences(fam)) == family_dim(fam)
 
 
 def is_affinely_independent(vertices: VertexFamily) -> bool:
-    vertices = vertex_family(vertices)
-    d = family_dim(vertices)
-    return mat_rank(difference_matrix(vertices)) == d
+    return _independent(vertex_family(vertices))
 
 
 def require_independent(vertices: VertexFamily) -> VertexFamily:
     vertices = vertex_family(vertices)
-    if not is_affinely_independent(vertices):
+    if not _independent(vertices):
         raise DegenerateSimplexError("vertex family is not affinely independent")
     return vertices
 
@@ -194,7 +197,7 @@ def geometric_mapping(vertices: VertexFamily) -> AffineMap:
     affine independence.
     """
     vertices = vertex_family(vertices)
-    return AffineMap(difference_matrix(vertices), vertices[0])
+    return AffineMap(_differences(vertices), vertices[0])
 
 
 def barycentric_polynomials(vertices: VertexFamily) -> list[Polynomial]:

@@ -4,18 +4,33 @@ A polynomial knows its dimension d (number of variables, >= 1) and stores a
 map from exponent tuple to nonzero Fraction coefficient.  The zero polynomial
 is the empty map, so structural equality is mathematical equality.  The zero
 polynomial has degree -inf (``NEG_INF``), every other degree is an int.
+Instances are treated as immutable.
 
-Construction prunes zero coefficients eagerly; instances are treated as
-immutable.
+Two constructors fill the map, and both drop zero coefficients.  The public
+``Polynomial(dim, terms)`` checks every exponent (multiindex.check_index) and
+every coefficient (exact.rationals: ints, Fractions and rational strings, never
+floats or bools).  The private ``Polynomial._trusted`` builds the results of
+the ring operations and of the derivative, embedding and split helpers of this
+module: their exponents are sums, differences or extensions of exponents of
+existing polynomials and their coefficients are already Fractions, so it checks
+nothing.
+
+Products and evaluation run in integers (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5): each operand is brought to one common denominator,
+the integer numerators are combined, and a Fraction (with its gcd) is formed
+only for each output term of a product and once per evaluation.  The results
+equal those of term-by-term Fraction arithmetic exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from types import MappingProxyType
 
 from . import multiindex as mi
-from .exact import Matrix, rat_parse, rat_str
+from .exact import Matrix, rat_parse, rat_str, rationals
 
 NEG_INF = float("-inf")
 
@@ -26,16 +41,29 @@ class Polynomial:
     def __init__(self, dim: int, terms=None):
         if dim < 1:
             raise ValueError("polynomial dimension must be at least 1")
+        items = list((terms or {}).items())
+        coeffs = rationals((c for _, c in items), "coefficients")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in (terms or {}).items():
+        for (exp, _), c in zip(items, coeffs):
             exp = mi.check_index(exp)
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp!r} has dimension {len(exp)}, expected {dim}")
-            c = Fraction(coeff)
             if c != 0:
                 clean[exp] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
+        """Wrap a result built in this module: exponents valid, coefficients Fractions.
+
+        Only zero coefficients are dropped, so equal polynomials stay
+        structurally equal; no exponent or coefficient is checked or re-wrapped.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "_terms", {exp: c for exp, c in terms.items() if c})
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -53,7 +81,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "Polynomial":
@@ -61,12 +89,12 @@ class Polynomial:
         if not (1 <= i <= dim):
             raise ValueError(f"variable index must lie in [1..{dim}]")
         exp = tuple(1 if j == i - 1 else 0 for j in range(dim))
-        return cls(dim, {exp: Fraction(1)})
+        return cls(dim, {exp: 1})
 
     @classmethod
     def monomial(cls, alpha, coeff=1) -> "Polynomial":
         alpha = mi.check_index(alpha)
-        return cls(len(alpha), {alpha: Fraction(coeff)})
+        return cls(len(alpha), {alpha: coeff})
 
     # -- basic queries ------------------------------------------------
 
@@ -94,18 +122,42 @@ class Polynomial:
         return self.eval(point)
 
     def eval(self, point) -> Fraction:
-        """Exact value at a point of Fractions (or ints)."""
-        pt = tuple(Fraction(x) for x in point)
+        """Exact value, as a Fraction, at a point of ints, Fractions or rational strings.
+
+        Floats and bools raise ValueError.  The coordinates are written as
+        integers X_i over one common denominator D, the coefficients as
+        integers n_e over their lcm L.  With m the degree, the value is
+        sum_e n_e X^e D^(m - |e|) / (L D^m): the sum runs in integers over
+        tables of the powers of each X_i and of D up to m, and only the
+        quotient is a Fraction.
+        """
+        pt = rationals(point, "evaluation points")
         if len(pt) != self.dim:
             raise ValueError("point dimension does not match")
-        total = Fraction(0)
-        for exp, coeff in self._terms.items():
-            value = coeff
-            for x, e in zip(pt, exp):
+        if not self._terms:
+            return Fraction(0)
+        terms, coeff_den = _integer_terms(self._terms)
+        degrees = [sum(exp) for exp, _ in terms]
+        m = max(degrees)
+        den = lcm(*[x.denominator for x in pt])
+        powers = []
+        for x in pt:
+            row = [1]
+            num = x.numerator * (den // x.denominator)
+            for _ in range(m):
+                row.append(row[-1] * num)
+            powers.append(row)
+        den_powers = [1]
+        for _ in range(m):
+            den_powers.append(den_powers[-1] * den)
+        total = 0
+        for (exp, n), deg in zip(terms, degrees):
+            value = n * den_powers[m - deg]
+            for row, e in zip(powers, exp):
                 if e:
-                    value *= x**e
+                    value *= row[e]
             total += value
-        return total
+        return Fraction(total, coeff_den * den_powers[m])
 
     # -- ring operations ----------------------------------------------
 
@@ -119,13 +171,14 @@ class Polynomial:
         self._check_same_dim(other)
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return Polynomial(self.dim, out)
+            old = out.get(exp)
+            out[exp] = coeff if old is None else old + coeff
+        return Polynomial._trusted(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {exp: -c for exp, c in self._terms.items()})
+        return Polynomial._trusted(self.dim, {exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -136,19 +189,29 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.dim, {exp: c * v for exp, v in self._terms.items()})
+        """The product with an exact scalar (no float or bool)."""
+        (c,) = rationals((c,), "scalars")
+        return Polynomial._trusted(self.dim, {exp: c * v for exp, v in self._terms.items()})
 
     def __mul__(self, other):
+        """Product with a polynomial of the same dimension, or with a scalar.
+
+        Each operand's coefficients become integer numerators over their lcm
+        (da and db); the numerators are convolved in integers, and each output
+        term is the one Fraction n / (da * db).  Terms that cancel to 0 are dropped.
+        """
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_same_dim(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, out)
+        a, da = _integer_terms(self._terms)
+        b, db = _integer_terms(other._terms)
+        out: dict[tuple[int, ...], int] = {}
+        for ea, na in a:
+            for eb, nb in b:
+                exp = tuple(map(add, ea, eb))
+                out[exp] = out.get(exp, 0) + na * nb
+        den = da * db
+        return Polynomial._trusted(self.dim, {exp: Fraction(n, den) for exp, n in out.items()})
 
     __rmul__ = __mul__
 
@@ -182,6 +245,12 @@ class Polynomial:
         return f"Polynomial({self.dim}, {' + '.join(bits)})"
 
 
+def _integer_terms(terms) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """(exponent, integer numerator) pairs over the lcm of the coefficient denominators."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(exp, c.numerator * (den // c.denominator)) for exp, c in terms.items()], den
+
+
 def monomial_str(exp) -> str:
     """Render an exponent tuple as "X1^2*X3"; the constant monomial is ""."""
     return "*".join(f"X{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
@@ -207,12 +276,12 @@ def partial_derivative(p: Polynomial, beta) -> Polynomial:
                 factor *= a - j
         exp = tuple(a - b for a, b in zip(alpha, beta))
         out[exp] = out.get(exp, Fraction(0)) + coeff * factor
-    return Polynomial(p.dim, out)
+    return Polynomial._trusted(p.dim, out)
 
 
 def embed_last(p: Polynomial) -> Polynomial:
     """View a d-variable polynomial in d+1 variables (last exponent 0)."""
-    return Polynomial(p.dim + 1, {exp + (0,): c for exp, c in p.terms.items()})
+    return Polynomial._trusted(p.dim + 1, {exp + (0,): c for exp, c in p.terms.items()})
 
 
 def divide_by_last_variable(p: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -230,7 +299,7 @@ def divide_by_last_variable(p: Polynomial) -> tuple[Polynomial, Polynomial]:
             head[exp[:-1]] = coeff
         else:
             quot[exp[:-1] + (exp[-1] - 1,)] = coeff
-    return Polynomial(p.dim - 1, head), Polynomial(p.dim, quot)
+    return Polynomial._trusted(p.dim - 1, head), Polynomial._trusted(p.dim, quot)
 
 
 def recombine_last_variable(p0: Polynomial, p1: Polynomial) -> Polynomial:
@@ -309,7 +378,7 @@ def lagrange_basis_1d(nodes, i: int) -> Polynomial:
     prod over j != i of (X - a_j)/(a_i - a_j), expanded; equals the constant
     1 when there is a single node.  Nodes must be pairwise distinct.
     """
-    pts = [Fraction(a) for a in nodes]
+    pts = rationals(nodes, "nodes")
     if len(set(pts)) != len(pts):
         raise ValueError("nodes must be pairwise distinct")
     if not (0 <= i < len(pts)):

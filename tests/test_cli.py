@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import csv
 import io
 import json
@@ -214,3 +215,41 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run_cli("nonsense")
     assert code == 2
+
+
+# Simplices with mixed and negative denominators, one per pinned dimension.
+_MIXED_VERTICES = {
+    2: [["1/2", "-1/3"], ["3", "1/4"], ["-2/5", "7/6"]],
+    3: [["0", "1/2", "-1/3"], ["2", "0", "1/4"], ["-1/5", "3", "0"], ["1/7", "-1/2", "5/3"]],
+    4: [
+        ["1/2", "0", "0", "-1/3"],
+        ["3", "1/4", "0", "0"],
+        ["0", "-2/5", "2", "0"],
+        ["0", "0", "7/6", "1"],
+        ["1", "1", "1", "3/2"],
+    ],
+}
+
+# SHA-256 of `exactfem shape --format json` stdout; the reports print every
+# coefficient of every shape function in canonical form, so they pin the
+# products term by term, not only their values.
+_SHAPE_JSON_SHA256 = {
+    (2, 6, "reference"): "c25046be688aa011c87cce66ea0c398b968d513775c51620fd435319415877ac",
+    (2, 6, "mixed"): "57cc69e52da72a231cf0d2167a9075140654abb7d4807afd149ac7c4a6dbdbcd",
+    (3, 4, "reference"): "23dda9b80fa6b12345229ffdf1b7b75d32bd6590089001b5c08f2429902d28fd",
+    (3, 4, "mixed"): "b4fe9b63677d892d01a977a7fcadb6ddec4a7c7f9f223bad556ef6b85ab76de4",
+    (4, 3, "reference"): "8019057233cfedb204c4f0732aea0a5623cae3d00cc74cfd7dc3422538dfb1e0",
+    (4, 3, "mixed"): "784ecbdf0882147d7f0684322a47f2b4b96a09074d82c2c9f13fadb963119c41",
+}
+
+
+@pytest.mark.parametrize("d, k, simplex", sorted(_SHAPE_JSON_SHA256))
+def test_shape_json_digest(tmp_path, d, k, simplex):
+    argv = ["shape", "--dim", str(d), "--degree", str(k), "--format", "json"]
+    if simplex == "mixed":
+        vfile = tmp_path / "mixed.json"
+        vfile.write_text(json.dumps({"d": d, "vertices": _MIXED_VERTICES[d]}))
+        argv += ["--vertices", str(vfile)]
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SHAPE_JSON_SHA256[(d, k, simplex)]

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactfem import element as fe
+from exactfem import geometry
 from exactfem.errors import DegenerateSimplexError, NotVanishingError
 from exactfem.exact import identity_matrix, mat_solve
 from exactfem.geometry import (
@@ -261,6 +262,33 @@ def test_build_element():
     assert len(elem32.nodes) == 10
     with pytest.raises(DegenerateSimplexError):
         fe.build_element(vertex_family([(0, 0), (1, 1), (2, 2)]), 2)
+
+
+def test_build_element_checks_independence_once(monkeypatch):
+    degenerate = vertex_family([(0, 0), (1, 1), (2, 2)])
+    # a degenerate family is refused before the degree is looked at
+    for k in (0, -1):
+        with pytest.raises(DegenerateSimplexError, match="not affinely independent"):
+            fe.build_element(degenerate, k)
+    with pytest.raises(ValueError, match="degree must be a natural"):
+        fe.build_element(TRIANGLE, -1)
+    calls = {"require_independent": 0, "vertex_family": 0}
+
+    def counted(name):
+        original = getattr(geometry, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    counted("require_independent")
+    counted("vertex_family")
+    geometry.require_independent(TRIANGLE)
+    assert calls == {"require_independent": 1, "vertex_family": 1}
+    fe.build_element(TRIANGLE, 2)
+    assert calls["require_independent"] == 2
 
 
 def test_dimension_table():

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from exactfem.errors import DegenerateSimplexError
+from exactfem.exact import matrix
 from exactfem.geometry import (
     AffineMap,
     affine_apply,
@@ -184,6 +185,37 @@ def test_inexact_coordinates_rejected():
         Fraction(1), Fraction(-2, 3), Fraction(3, 4), Fraction(1, 10)
     )
     assert AffineMap([[1]], ("1/2",)).translation == (Fraction(1, 2),)
+
+
+def test_inexact_input_rejected_at_every_boundary():
+    # The three calls below used to accept the float as a binary fraction.
+    with pytest.raises(ValueError, match="must be exact"):
+        face_hyperplane_contains(reference_vertices(2), 1, (0.0, 0.1))
+    with pytest.raises(ValueError, match="must be exact"):
+        Polynomial.variable(2, 1).eval((0.1, 0))
+    with pytest.raises(ValueError, match="must be exact"):
+        matrix([[0.1]])
+    for bad in (
+        lambda: AffineMap([[0.5]], (0,)),
+        lambda: AffineMap([[True]], (0,)),
+        lambda: Polynomial(1, {(1,): 0.5}),
+        lambda: Polynomial(1, {(0,): True}),
+        lambda: Polynomial.constant(2, 0.5),
+        lambda: Polynomial.monomial((1, 0), 0.5),
+        lambda: Polynomial.variable(2, 1).scale(0.5),
+        lambda: Polynomial.variable(2, 1) * 0.5,
+        lambda: Polynomial.variable(2, 1) + 0.5,
+        lambda: Polynomial.variable(1, 1).eval((True,)),
+        lambda: in_simplex(reference_vertices(2), (0.25, 0)),
+        lambda: lagrange_basis_1d([0, 0.5, 1], 0),
+    ):
+        with pytest.raises(ValueError, match="must be exact"):
+            bad()
+    # rational strings stay accepted
+    assert matrix([["1/2", 3]]) == ((Fraction(1, 2), Fraction(3)),)
+    assert Polynomial(1, {(1,): "1/2"}) == Polynomial.variable(1, 1).scale(Fraction(1, 2))
+    assert Polynomial.variable(2, 1).eval(("1/3", 0)) == Fraction(1, 3)
+    assert face_hyperplane_contains(reference_vertices(2), 1, (0, "1/2"))
 
 
 def test_barycentric_equals_inverse_coordinates():

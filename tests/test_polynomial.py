@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactfem.geometry import AffineMap, affine_apply, affine_compose, identity_map
+from exactfem.multiindex import enumerate_indices
 from exactfem.polynomial import (
     NEG_INF,
     Polynomial,
@@ -302,3 +305,103 @@ def test_immutability_and_pruning():
         p.dim = 3
     with pytest.raises(TypeError):
         p.terms[(0, 1)] = Fraction(5)
+
+
+# -- the integer kernel against term-by-term Fraction arithmetic -------------
+
+
+def fraction_product(p, q):
+    """Reference product: one Fraction multiply-add per pair of terms."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, Fraction(0)) + ca * cb
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+def fraction_eval(p, point):
+    """Reference evaluation: Fraction powers, products and sums, term by term."""
+    pt = tuple(Fraction(x) for x in point)
+    total = Fraction(0)
+    for exp, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(pt, exp):
+            if e:
+                value *= x**e
+        total += value
+    return total
+
+
+big_rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def polynomials(draw, d, max_degree=4):
+    """Degree <= max_degree in d variables; empty (zero) and constant ones included."""
+    exps = enumerate_indices(d, draw(st.integers(0, max_degree)), "A")
+    chosen = draw(st.lists(st.sampled_from(exps), unique=True, max_size=len(exps)))
+    return Polynomial(d, {exp: draw(big_rationals) for exp in chosen})
+
+
+@st.composite
+def points(draw, d):
+    """Ints, Fractions (denominators of either sign) and rational strings, mixed."""
+    coords = []
+    for _ in range(d):
+        num = draw(st.integers(-(10**6), 10**6))
+        den = draw(st.integers(1, 10**4)) * draw(st.sampled_from((1, -1)))
+        coords.append(draw(st.sampled_from((num, Fraction(num, den), f"{num}/{abs(den)}"))))
+    return tuple(coords)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_fraction_reference(data):
+    d = data.draw(st.integers(1, 4))
+    p, q = data.draw(polynomials(d)), data.draw(polynomials(d))
+    got = p * q
+    want = fraction_product(p, q)
+    assert dict(got.terms) == want
+    assert all(c != 0 for c in got.terms.values())
+    public = Polynomial(d, want)
+    assert got == public and hash(got) == hash(public)
+
+
+def test_eval_returns_fraction():
+    for d in (1, 4):
+        for p in (Polynomial.zero(d), Polynomial.constant(d, 3), Polynomial.variable(d, 1)):
+            value = p.eval((2,) * d)
+            assert type(value) is Fraction and value == fraction_eval(p, (2,) * d)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_fraction_reference(data):
+    d = data.draw(st.integers(1, 4))
+    p = data.draw(polynomials(d))
+    x = data.draw(points(d))
+    value = p.eval(x)
+    assert type(value) is Fraction
+    assert value == fraction_eval(p, x)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cancelling_products_store_no_zeros(data):
+    d = data.draw(st.integers(1, 4))
+    c = data.draw(big_rationals.filter(bool))
+    x = Polynomial.variable(d, d)
+    square = (x + c) * (x - c)
+    want = Polynomial(d, {(0,) * (d - 1) + (2,): 1, (0,) * d: -c * c})
+    assert dict(square.terms) == dict(want.terms)
+    assert square == want and hash(square) == hash(want)
+    p, q = data.draw(polynomials(d)), data.draw(polynomials(d))
+    diff = p * p - p * p
+    assert diff.is_zero() and diff == Polynomial.zero(d)
+    assert hash(diff) == hash(Polynomial.zero(d))
+    lhs = (p + q) * (p - q)
+    rhs = p * p - q * q
+    assert all(c != 0 for c in lhs.terms.values())
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert lhs == Polynomial(d, fraction_product(p + q, p - q))
